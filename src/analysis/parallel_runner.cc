@@ -585,6 +585,7 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
         res.replay.simWarmupCycles = simPar.warmupCycles;
         res.replay.simConvergenceRetries = simPar.convergenceRetries;
         res.replay.simParallelEfficiency = simPar.parallelEfficiency;
+        res.replay.simPeakBufferedBytes = simPar.peakBufferedBytes;
         if (writer) {
             res.replay.cacheStored = writer->commit(simStats);
             res.replay.cacheBytes = writer->bytesWritten();

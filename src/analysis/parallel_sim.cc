@@ -18,9 +18,14 @@
 #include "analysis/parallel_sim.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <functional>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -28,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.hh"
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
@@ -39,18 +45,26 @@ namespace tea {
 
 namespace {
 
-/** Floor on the accepted-stream suffix retained for convergence checks. */
-constexpr Cycle kMinTailCycles = 2048;
-
-/**
- * Tail retention headroom: keep this many multiples of the largest
- * warmup span seen so far, so the next boundary can be checked over the
- * worker's *entire* warmup stream, not just a fixed suffix window.
- */
-constexpr Cycle kTailSpanMultiple = 8;
+/** Floor on the matched suffix a convergence check requires (cycles). */
+constexpr Cycle kMinMatchCycles = 2048;
 
 /** Per-leg cycle budget (matches Core::run's default). */
 constexpr Cycle kLegMaxCycles = 2'000'000'000ULL;
+
+/** Events per chunk: one worker frame, hand-off chunk or tail frame. */
+constexpr std::size_t kChunkEvents = 4096;
+
+/** Chunks interval 0 may stream ahead of the stitcher. */
+constexpr std::size_t kHandoffChunks = 8;
+
+// Fault-injection seams (common/failpoint); both raise FailpointError.
+// sim.worker fires in a worker right after its warmup leg (interval 0
+// has none, so at the start of its leg). Its hits are counted when the
+// interval is claimed, in interval order, so `nth:N` deterministically
+// faults interval N-1. sim.stitch fires in the stitcher once per chunk
+// it drains (interval 0's hand-off, then each decoded frame).
+Failpoint fpWorker("sim.worker", EIO);
+Failpoint fpStitch("sim.stitch", EIO);
 
 /** Environment unsigned with a default (fatal on garbage). */
 std::uint64_t
@@ -211,15 +225,36 @@ perfAccum(SimPerf &into, const SimPerf &d)
     into.wakeups += d.wakeups;
 }
 
-/** TraceSink buffering the raw event stream, End included. */
-class CaptureSink final : public TraceSink
+/**
+ * The one sink of every interval core. Events collect in an open chunk
+ * and the current leg's route decides what becomes of each full chunk:
+ * encoded into frames (a worker's main leg), queued on the hand-off
+ * (interval 0), or rebased and delivered (a serial retry). With no
+ * route (a worker's warmup leg) the chunk grows without flushing: the
+ * verbatim events matchedSuffix compares.
+ */
+class LegSink final : public TraceSink
 {
   public:
-    std::vector<TraceEvent> events;
+    /** Consumes a full chunk; must leave it empty. */
+    using Route = std::function<void(TraceChunk &)>;
+
+    void setRoute(Route route) { route_ = std::move(route); }
 
     void onBatch(const TraceEvent *evs, std::size_t n) override
     {
-        events.insert(events.end(), evs, evs + n);
+        while (n > 0) {
+            const std::size_t take =
+                route_ ? std::min(n, kChunkEvents - open.events.size()) : n;
+            open.events.insert(open.events.end(), evs, evs + take);
+            for (std::size_t k = 0; k < take; ++k)
+                if (evs[k].kind == TraceEventKind::Cycle)
+                    ++open.cycleRecords;
+            evs += take;
+            n -= take;
+            if (route_ && open.events.size() == kChunkEvents)
+                route_(open);
+        }
     }
 
     void onEnd(Cycle final_cycle) override
@@ -227,8 +262,20 @@ class CaptureSink final : public TraceSink
         TraceEvent ev;
         ev.kind = TraceEventKind::End;
         ev.p.end = final_cycle;
-        events.push_back(ev);
+        onBatch(&ev, 1);
     }
+
+    /** Route the partial chunk (the end of a leg). */
+    void flush()
+    {
+        if (route_ && !open.events.empty())
+            route_(open);
+    }
+
+    TraceChunk open;
+
+  private:
+    Route route_;
 };
 
 /**
@@ -257,26 +304,125 @@ deliverRange(const TraceEvent *evs, std::size_t n,
     }
 }
 
-/** A parked simulation: a live Core plus its capture sink and the
+/** A parked simulation: a live Core plus its sink and the
  *  local-to-absolute identity of its coordinate system. */
 struct ParkedRun
 {
+    std::unique_ptr<LegSink> sink; ///< declared first: outlives the core
     std::unique_ptr<Core> core;
-    std::unique_ptr<CaptureSink> capture;
     std::int64_t deltaCycle = 0;  ///< absolute = local + deltaCycle
     std::uint64_t deltaSeq = 0;   ///< absolute = local + deltaSeq
+};
+
+/** What interval j's convergence check reads of the accepted stream:
+ *  the span and event count of its worker's warmup leg. */
+struct WarmupNeed
+{
+    bool known = false;
+    Cycle cycles = 0;
+    std::size_t events = 0;
+};
+
+struct IntervalResult;
+
+/** Worker/stitcher rendezvous: in-order claims, bounded in-flight,
+ *  published warmup needs and interval 0's hand-off. */
+struct SimShared
+{
+    /** Set (under mu, so waiters wake) when the stitcher gives up;
+     *  workers poll it once per chunk. */
+    std::atomic<bool> aborted{false};
+    /** Bytes of frames, warmup legs and tail frames held right now,
+     *  and their high-water mark. Declared before results, whose
+     *  destructors still account. */
+    std::atomic<std::uint64_t> buffered{0};
+    std::atomic<std::uint64_t> peakBuffered{0};
+
+    Mutex mu;
+    CondVar cv;
+    std::vector<std::unique_ptr<IntervalResult>> results
+        TEA_GUARDED_BY(mu);
+    std::vector<WarmupNeed> needs TEA_GUARDED_BY(mu);
+    /** Interval 0's chunks, oldest first, at most kHandoffChunks. */
+    std::deque<std::unique_ptr<TraceChunk>> handoff TEA_GUARDED_BY(mu);
+    std::uint64_t nextClaim TEA_GUARDED_BY(mu) = 0;
+    std::uint64_t taken TEA_GUARDED_BY(mu) = 0;
+
+    bool isAborted() const
+    {
+        // acquire: pairs with the release store that aborts the run.
+        return aborted.load(std::memory_order_acquire);
+    }
+
+    /** Add @p delta (may be negative) to the buffered bytes. */
+    void account(std::int64_t delta)
+    {
+        // relaxed: a statistic; no other memory is published through it.
+        const std::uint64_t now =
+            buffered.fetch_add(static_cast<std::uint64_t>(delta),
+                               std::memory_order_relaxed) +
+            static_cast<std::uint64_t>(delta);
+        // relaxed: as above, a monotone maximum of the same statistic.
+        std::uint64_t peak = peakBuffered.load(std::memory_order_relaxed);
+        while (now > peak &&
+               !peakBuffered.compare_exchange_weak(
+                   peak, now, std::memory_order_relaxed,
+                   std::memory_order_relaxed)) {
+        }
+    }
+
+    /** Interval 0's route: queue @p from's events, blocking while the
+     *  hand-off is full, and leave @p from with fresh storage. Throws
+     *  once the stitcher has aborted. */
+    void handOff(TraceChunk &from) TEA_EXCLUDES(mu)
+    {
+        auto c = std::make_unique<TraceChunk>();
+        c->events.reserve(kChunkEvents);
+        std::swap(*c, from);
+        MutexLock lock(mu);
+        while (handoff.size() >= kHandoffChunks && !isAborted())
+            cv.wait(mu);
+        if (isAborted())
+            throw std::runtime_error("time-parallel run aborted");
+        handoff.push_back(std::move(c));
+        cv.notify_all();
+    }
+
+    /** Publish interval @p j's warmup need (first publication wins). */
+    void publishNeed(std::uint64_t j, WarmupNeed need) TEA_EXCLUDES(mu)
+    {
+        MutexLock lock(mu);
+        if (!needs[j].known) {
+            need.known = true;
+            needs[j] = need;
+            cv.notify_all();
+        }
+    }
 };
 
 /** What one worker hands the stitcher for one interval. */
 struct IntervalResult
 {
+    explicit IntervalResult(SimShared &shared) : sh(&shared) {}
+    ~IntervalResult() { releaseBuffers(); }
+    IntervalResult(const IntervalResult &) = delete;
+    IntervalResult &operator=(const IntervalResult &) = delete;
+
+    SimShared *sh;
     std::uint64_t index = 0;
     bool failed = false; ///< worker threw; error holds the message
     std::string error;
 
-    ParkedRun run; ///< core parked at the interval end, events captured
+    ParkedRun run; ///< core parked at the interval end
 
-    std::size_t mainBegin = 0;   ///< first event past the warmup region
+    /** The warmup leg verbatim, local coordinates (intervals >= 1). */
+    std::vector<TraceEvent> warmup;
+    /** The main leg as codec frames, local coordinates (intervals
+     *  >= 1; interval 0 streams through the hand-off instead). */
+    std::vector<std::uint8_t> frames;
+    /** Bytes of warmup + frames currently counted in sh->buffered. */
+    std::uint64_t accounted = 0;
+
     Cycle warmupEndCycle = 0;    ///< local stamp of the last warmup cycle
     Cycle endCycle = 0;          ///< local stamp of the last simulated cycle
     bool halted = false;
@@ -295,18 +441,24 @@ struct IntervalResult
     SimPerf warmupPerf;
     CoreStats endStats;
     SimPerf endPerf;
-};
 
-/** Worker/stitcher rendezvous: in-order claims, bounded in-flight. */
-struct SimShared
-{
-    Mutex mu;
-    CondVar cv;
-    std::vector<std::unique_ptr<IntervalResult>> results
-        TEA_GUARDED_BY(mu);
-    std::uint64_t nextClaim TEA_GUARDED_BY(mu) = 0;
-    std::uint64_t taken TEA_GUARDED_BY(mu) = 0;
-    bool aborted TEA_GUARDED_BY(mu) = false;
+    /** Bring sh->buffered in line with the buffers' capacity now. */
+    void track()
+    {
+        const std::uint64_t now =
+            frames.capacity() + warmup.capacity() * sizeof(TraceEvent);
+        sh->account(static_cast<std::int64_t>(now) -
+                    static_cast<std::int64_t>(accounted));
+        accounted = now;
+    }
+
+    /** Free the warmup leg and the frames. */
+    void releaseBuffers()
+    {
+        std::vector<TraceEvent>().swap(warmup);
+        std::vector<std::uint8_t>().swap(frames);
+        track();
+    }
 };
 
 /** Inputs shared by every worker (all read-only during the run). */
@@ -315,7 +467,10 @@ struct SimPlan
     const CoreConfig *cfg = nullptr;
     const Program *prog = nullptr;
     const ArchState *initial = nullptr;
-    const CheckpointPlan *plan = nullptr;
+    /** The checkpoint pre-pass, still running while interval 0 (which
+     *  needs no checkpoint) simulates. Workers get() their own copy. */
+    std::shared_future<CheckpointPlan> plan;
+    std::uint64_t totalUops = 0; ///< functional length of the run
     std::uint64_t intervals = 0; ///< K
     std::uint64_t intervalUops = 0;
     std::uint64_t warmupUops = 0;
@@ -325,31 +480,50 @@ struct SimPlan
 /**
  * Simulate interval @p j in local coordinates: build a core at the
  * interval's checkpoint (worker 0: the true initial state), run the
- * warmup leg with capture, snapshot, then run the main leg to the
- * interval's committed-uop boundary (the final interval: to halt).
+ * warmup leg keeping its events verbatim, snapshot, then run the main
+ * leg to the interval's committed-uop boundary (the final interval: to
+ * halt), encoding it into frames. Interval 0 has no warmup leg and
+ * streams its events through the hand-off instead. @p fault injects a
+ * sim.worker failure after the warmup leg.
  */
 std::unique_ptr<IntervalResult>
-simulateInterval(const SimPlan &sp, std::uint64_t j)
+simulateInterval(const SimPlan &sp, SimShared &sh, std::uint64_t j,
+                 bool fault)
 {
-    auto res = std::make_unique<IntervalResult>();
+    auto res = std::make_unique<IntervalResult>(sh);
     res->index = j;
     const bool last = (j + 1 == sp.intervals);
-    res->run.capture = std::make_unique<CaptureSink>();
+    res->run.sink = std::make_unique<LegSink>();
+    LegSink &sink = *res->run.sink;
 
     if (j == 0) {
         // Worker 0 needs no warmup: it starts from the true initial
-        // state, so its stream is the serial stream by construction.
+        // state, so its stream is the serial stream by construction
+        // and can go to the sinks while the other intervals simulate.
         res->run.core = std::make_unique<Core>(*sp.cfg, *sp.prog,
                                                ArchState(*sp.initial));
-        res->run.core->addSink(res->run.capture.get());
+        res->run.core->addSink(&sink);
+        if (fault)
+            fpWorker.raise();
+        sink.open.events.reserve(kChunkEvents);
+        sink.setRoute([&sh](TraceChunk &c) { sh.handOff(c); });
         res->run.core->runUntilCommitted(
             last ? ~std::uint64_t(0) : sp.intervalUops, kLegMaxCycles);
-        res->mainBegin = 0;
-        res->warmupEndCycle = 0;
+        sink.flush();
         // warmupStats/~Perf stay zero-initialized: the whole leg is
         // accepted stream.
     } else {
-        const ArchCheckpoint &ck = sp.plan->checkpoints[j - 1];
+        const std::shared_future<CheckpointPlan> planFuture = sp.plan;
+        const CheckpointPlan &plan = planFuture.get();
+        tea_assert(plan.halted && plan.totalUops == sp.totalUops &&
+                       plan.checkpoints.size() >= sp.intervals - 1,
+                   "pre-pass of %llu uops with %zu checkpoints for %llu "
+                   "intervals over %llu uops",
+                   static_cast<unsigned long long>(plan.totalUops),
+                   plan.checkpoints.size(),
+                   static_cast<unsigned long long>(sp.intervals),
+                   static_cast<unsigned long long>(sp.totalUops));
+        const ArchCheckpoint &ck = plan.checkpoints[j - 1];
         tea_assert(ck.uops == j * sp.intervalUops - sp.warmupUops,
                    "checkpoint %llu at uop %llu, expected %llu",
                    static_cast<unsigned long long>(j),
@@ -357,7 +531,7 @@ simulateInterval(const SimPlan &sp, std::uint64_t j)
                    static_cast<unsigned long long>(j * sp.intervalUops -
                                                    sp.warmupUops));
         res->run.deltaSeq = ck.uops;
-        ArchState st = materializeState(*sp.initial, *sp.plan, ck);
+        ArchState st = materializeState(*sp.initial, plan, ck);
         res->run.core = std::make_unique<Core>(*sp.cfg, *sp.prog,
                                                std::move(st), ck.pc,
                                                ck.uops,
@@ -366,10 +540,10 @@ simulateInterval(const SimPlan &sp, std::uint64_t j)
         // access stream so tags/LRU/TLBs start near serial state and
         // the timing warmup leg only has to converge the residue.
         res->run.core->warmFromCheckpoint(ck);
-        res->run.core->addSink(res->run.capture.get());
+        res->run.core->addSink(&sink);
 
-        // Warmup leg: converge the cold microarchitectural state.
-        // Events are captured for the convergence check but never
+        // Warmup leg: converge the cold microarchitectural state. Its
+        // events are kept verbatim for the convergence check but never
         // delivered downstream (the suppressed-emission contract).
         res->run.core->runUntilCommitted(sp.warmupUops, kLegMaxCycles);
         res->warmupEndCycle = res->run.core->cycle() - 1;
@@ -379,15 +553,47 @@ simulateInterval(const SimPlan &sp, std::uint64_t j)
         if (std::getenv("TEA_SIM_DEBUG"))
             res->warmupParts = res->run.core->stateFingerprintParts();
 
+        // Split at the boundary: events stamped past the last warmup
+        // cycle open the main leg.
+        std::vector<TraceEvent> &evs = sink.open.events;
+        const std::size_t mainBegin =
+            firstStampAfter(evs, 0, evs.size(), res->warmupEndCycle);
+        res->warmup.swap(evs);
+        evs.assign(res->warmup.begin() +
+                       static_cast<std::ptrdiff_t>(mainBegin),
+                   res->warmup.end());
+        evs.reserve(kChunkEvents);
+        res->warmup.resize(mainBegin);
+        res->warmup.shrink_to_fit(); // held until the stitcher's check
+        sink.open.cycleRecords = static_cast<std::uint64_t>(
+            std::count_if(evs.begin(), evs.end(), [](const TraceEvent &e) {
+                return e.kind == TraceEventKind::Cycle;
+            }));
+        res->track();
+        sh.publishNeed(j, WarmupNeed{true, res->warmupEndCycle + 1,
+                                     mainBegin});
+        if (fault)
+            fpWorker.raise();
+
         // Main leg: local target = interval end minus checkpoint base.
+        IntervalResult &r = *res;
+        sink.setRoute([&r, &sh](TraceChunk &c) {
+            if (sh.isAborted())
+                throw std::runtime_error("time-parallel run aborted");
+            encodeChunk(c, r.frames);
+            c.events.clear();
+            c.cycleRecords = 0;
+            r.track();
+        });
         const std::uint64_t target =
             last ? ~std::uint64_t(0)
                  : (j + 1) * sp.intervalUops - ck.uops;
         res->run.core->runUntilCommitted(target, kLegMaxCycles);
-        res->mainBegin = firstStampAfter(res->run.capture->events, 0,
-                                         res->run.capture->events.size(),
-                                         res->warmupEndCycle);
+        sink.flush();
     }
+    // The route captured this frame's state; the stitcher re-routes
+    // before it ever runs the parked core again.
+    sink.setRoute(nullptr);
 
     res->endCycle = res->run.core->cycle() - 1;
     res->halted = res->run.core->halted();
@@ -404,24 +610,30 @@ workerLoop(const SimPlan &sp, SimShared &sh)
 {
     for (;;) {
         std::uint64_t j;
+        bool fault;
         {
             MutexLock lock(sh.mu);
-            while (!sh.aborted && sh.nextClaim < sp.intervals &&
+            while (!sh.isAborted() && sh.nextClaim < sp.intervals &&
                    sh.nextClaim >= sh.taken + sp.maxInFlight)
                 sh.cv.wait(sh.mu);
-            if (sh.aborted || sh.nextClaim >= sp.intervals)
+            if (sh.isAborted() || sh.nextClaim >= sp.intervals)
                 return;
             j = sh.nextClaim++;
+            // Counted at the claim, in interval order (see fpWorker).
+            fault = TEA_FAILPOINT(fpWorker);
         }
         std::unique_ptr<IntervalResult> res;
         try {
-            res = simulateInterval(sp, j);
+            res = simulateInterval(sp, sh, j, fault);
         } catch (const std::exception &e) {
-            res = std::make_unique<IntervalResult>();
+            res = std::make_unique<IntervalResult>(sh);
             res->index = j;
             res->failed = true;
             res->error = e.what();
         }
+        // A failed worker still publishes (an empty) need, so the
+        // stitcher never waits on it.
+        sh.publishNeed(j, WarmupNeed{});
         {
             MutexLock lock(sh.mu);
             sh.results[j] = std::move(res);
@@ -430,19 +642,40 @@ workerLoop(const SimPlan &sp, SimShared &sh)
     }
 }
 
+/** One accepted chunk kept for the next convergence check. */
+struct TailFrame
+{
+    std::vector<std::uint8_t> bytes; ///< one codec frame
+    std::size_t events = 0;
+    Cycle firstStamp = 0;     ///< absolute stamp of its first event
+    std::int64_t dcycle = 0;  ///< rebase of the decoded events
+    std::uint64_t dseq = 0;
+};
+
 /** Everything the stitcher carries between intervals. */
 struct StitchState
 {
+    SimShared *sh = nullptr;
     std::vector<TraceSink *> sinks;
     ParkedRun parked;           ///< previous interval's core, kept alive
     Cycle absLast = 0;          ///< absolute stamp of the accepted end
-    std::vector<TraceEvent> tail; ///< accepted suffix, absolute coords
+    /**
+     * Accepted suffix as codec frames, oldest first: trimmed to what
+     * the next interval's convergence check reads.
+     */
+    std::deque<TailFrame> tail;
+    std::size_t tailEvents = 0; ///< events across the tail frames
+    Cycle tailEnd = 0;          ///< stamp of the newest tail event
+    std::uint64_t current = 0;  ///< interval being delivered
+    std::uint64_t intervals = 0;
+    WarmupNeed need;            ///< interval current + 1's warmup need
+    ChunkDecoder decoder;
+    TraceChunk decoded;         ///< the one chunk frames decode into
     CoreStats stats;
     SimPerf perf;
     std::uint64_t warmupCycles = 0;
     std::uint64_t retries = 0;
     std::uint64_t parallelCycles = 0; ///< cycles from accepted workers
-    Cycle maxWarmupSpan = 0; ///< largest warmup span observed so far
     bool halted = false;
     /** Latent-state fingerprint of the parked core at the accepted
      *  boundary — what the next worker's warmup must reproduce. */
@@ -451,38 +684,86 @@ struct StitchState
     std::vector<std::pair<const char *, std::uint64_t>> parkedParts;
 };
 
-/** Trim st.tail to the stamps within the retained check window. */
+/**
+ * Drop frames off the front of the tail while the rest still covers
+ * the successor's need: at least its warmup span in cycles and its
+ * warmup event count, the most matchedSuffix can compare. Until the
+ * successor's warmup leg has published its need, nothing is dropped.
+ */
 void
 trimTail(StitchState &st)
 {
-    // Until a worker result has shown how many cycles a warmup leg
-    // spans, keep everything: the first boundary must be checkable
-    // over the worker's full warmup stream.
-    if (st.tail.empty() || st.maxWarmupSpan == 0)
-        return;
-    const Cycle keep =
-        std::max(kMinTailCycles, kTailSpanMultiple * st.maxWarmupSpan);
-    if (st.absLast < keep)
-        return; // whole accepted stream still within the window
-    const std::size_t cut =
-        firstStampAfter(st.tail, 0, st.tail.size(), st.absLast - keep);
-    st.tail.erase(st.tail.begin(),
-                  st.tail.begin() + static_cast<std::ptrdiff_t>(cut));
+    if (!st.need.known) {
+        const std::uint64_t next = st.current + 1;
+        if (next >= st.intervals) {
+            st.need = WarmupNeed{true, 0, 0}; // nothing checks the last tail
+        } else {
+            MutexLock lock(st.sh->mu);
+            st.need = st.sh->needs[next];
+        }
+        if (!st.need.known)
+            return;
+    }
+    while (st.tail.size() > 1) {
+        const std::size_t rest = st.tailEvents - st.tail.front().events;
+        if (rest < st.need.events ||
+            st.tail[1].firstStamp + st.need.cycles > st.tailEnd + 1)
+            break;
+        st.tailEvents = rest;
+        st.sh->account(
+            -static_cast<std::int64_t>(st.tail.front().bytes.capacity()));
+        st.tail.pop_front();
+    }
 }
 
 /**
- * Accept @p n events starting at @p evs as the next piece of the
- * serial stream: rebase them in place to absolute coordinates, deliver
- * to the sinks, and extend the retained tail.
+ * Accept chunk @p c as the next piece of the serial stream: rebase it
+ * in place to absolute coordinates, deliver it to the sinks, and keep
+ * it in the tail as a frame — @p frame when it came from one (stored
+ * with the rebase), else encoded here.
  */
 void
-acceptEvents(StitchState &st, TraceEvent *evs, std::size_t n,
-             std::int64_t dcycle, std::uint64_t dseq)
+deliverChunk(StitchState &st, TraceChunk &c, std::int64_t dcycle,
+             std::uint64_t dseq, const std::uint8_t *frame = nullptr,
+             std::size_t frameBytes = 0)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        rebaseEvent(evs[i], dcycle, dseq);
-    deliverRange(evs, n, st.sinks);
-    st.tail.insert(st.tail.end(), evs, evs + n);
+    std::vector<TraceEvent> &evs = c.events;
+    if (evs.empty())
+        return;
+    if (dcycle != 0 || dseq != 0)
+        for (TraceEvent &ev : evs)
+            rebaseEvent(ev, dcycle, dseq);
+    deliverRange(evs.data(), evs.size(), st.sinks);
+
+    TailFrame f;
+    f.events = evs.size();
+    f.firstStamp = eventStamp(evs.front());
+    if (frame) {
+        f.bytes.assign(frame, frame + frameBytes);
+        f.dcycle = dcycle;
+        f.dseq = dseq;
+    } else {
+        encodeChunk(c, f.bytes);
+    }
+    st.sh->account(static_cast<std::int64_t>(f.bytes.capacity()));
+    st.tailEnd = eventStamp(evs.back());
+    st.tailEvents += f.events;
+    st.tail.push_back(std::move(f));
+    trimTail(st);
+}
+
+/** Decode tail frame @p f into st.decoded, in absolute coordinates. */
+void
+decodeTailFrame(StitchState &st, const TailFrame &f)
+{
+    std::size_t used = 0;
+    std::string why;
+    if (!st.decoder.decode(f.bytes.data(), f.bytes.size(), st.decoded, &used,
+                           &why))
+        throw std::runtime_error("time-parallel tail frame: " + why);
+    if (f.dcycle != 0 || f.dseq != 0)
+        for (TraceEvent &ev : st.decoded.events)
+            rebaseEvent(ev, f.dcycle, f.dseq);
 }
 
 /**
@@ -504,13 +785,12 @@ acceptEvents(StitchState &st, TraceEvent *evs, std::size_t n,
  *         cycles); the overlap is the window both sides cover.
  */
 std::pair<Cycle, Cycle>
-matchedSuffix(const StitchState &st, const IntervalResult &res)
+matchedSuffix(StitchState &st, const IntervalResult &res)
 {
-    const std::vector<TraceEvent> &wev = res.run.capture->events;
+    const std::vector<TraceEvent> &wev = res.warmup;
 
-    const Cycle serialSpan = st.tail.empty()
-                                 ? 0
-                                 : st.absLast - eventStamp(st.tail.front()) + 1;
+    const Cycle serialSpan =
+        st.tail.empty() ? 0 : st.absLast - st.tail.front().firstStamp + 1;
     const Cycle warmupSpan = res.warmupEndCycle + 1;
     const Cycle window = std::min(serialSpan, warmupSpan);
     if (window == 0)
@@ -518,56 +798,36 @@ matchedSuffix(const StitchState &st, const IntervalResult &res)
 
     const std::int64_t dcycle = static_cast<std::int64_t>(st.absLast) -
                                 static_cast<std::int64_t>(res.warmupEndCycle);
-    const std::size_t maxPairs = std::min(st.tail.size(), res.mainBegin);
+    const std::size_t maxPairs = std::min(st.tailEvents, wev.size());
     std::size_t i = 0;
+    Cycle earliest = 0; // stamp of the earliest matched serial event
+    // Walk the tail backwards, decoding one frame at a time.
+    auto frame = st.tail.rbegin();
+    std::size_t k = 0;
     while (i < maxPairs) {
-        TraceEvent ev = wev[res.mainBegin - 1 - i];
-        rebaseEvent(ev, dcycle, res.run.deltaSeq);
-        if (!eventsEquivalent(st.tail[st.tail.size() - 1 - i], ev))
-            break;
-        ++i;
-    }
-    if (std::getenv("TEA_SIM_DEBUG2") && i < maxPairs) {
-        for (std::size_t k = (i > 2 ? i - 2 : 0);
-             k <= i + 5 && k < maxPairs; ++k) {
-            const TraceEvent &se = st.tail[st.tail.size() - 1 - k];
-            TraceEvent we = wev[res.mainBegin - 1 - k];
-            rebaseEvent(we, dcycle, res.run.deltaSeq);
-            std::fprintf(stderr,
-                         "tea-sim:   pair %zu serial k=%d c=%llu "
-                         "seq=%llu pc=%u | warm k=%d c=%llu seq=%llu "
-                         "pc=%u%s\n",
-                         k, (int)se.kind,
-                         (unsigned long long)eventStamp(se),
-                         (unsigned long long)(se.kind ==
-                                                      TraceEventKind::Retire
-                                                  ? se.p.retire.seq
-                                                  : se.p.uop.seq),
-                         se.kind == TraceEventKind::Retire ? se.p.retire.pc
-                                                          : se.p.uop.pc,
-                         (int)we.kind,
-                         (unsigned long long)eventStamp(we),
-                         (unsigned long long)(we.kind ==
-                                                      TraceEventKind::Retire
-                                                  ? we.p.retire.seq
-                                                  : we.p.uop.seq),
-                         we.kind == TraceEventKind::Retire ? we.p.retire.pc
-                                                          : we.p.uop.pc,
-                         k == i ? "  <-- first diff" : "");
+        if (k == 0) {
+            decodeTailFrame(st, *frame++);
+            k = st.decoded.events.size();
         }
+        const TraceEvent &se = st.decoded.events[--k];
+        TraceEvent ev = wev[wev.size() - 1 - i];
+        rebaseEvent(ev, dcycle, res.run.deltaSeq);
+        if (!eventsEquivalent(se, ev))
+            break;
+        earliest = eventStamp(se);
+        ++i;
     }
     if (i == 0)
         return {0, window};
     if (i == maxPairs)
         return {window, window}; // the whole overlap matched
-    const Cycle earliest = eventStamp(st.tail[st.tail.size() - i]);
     return {st.absLast - earliest, window};
 }
 
 /**
  * The matched-suffix length (in cycles) required to accept a worker
  * interval, given the overlap both streams cover. One eighth of the
- * overlap, floored at kMinTailCycles: the suffix leg only has to
+ * overlap, floored at kMinMatchCycles: the suffix leg only has to
  * prove that pipeline-visible state converged and stayed locked —
  * thousands of cycles against a pipeline whose deepest structure
  * holds a few hundred — because the latent long-memory state (cache
@@ -578,12 +838,96 @@ matchedSuffix(const StitchState &st, const IntervalResult &res)
 Cycle
 convergedWindow(Cycle overlap)
 {
-    return std::min(overlap, std::max(kMinTailCycles, overlap / 8));
+    return std::min(overlap, std::max(kMinMatchCycles, overlap / 8));
+}
+
+/** The sim.stitch seam, passed once per drained chunk. */
+void
+stitchSeam()
+{
+    if (TEA_FAILPOINT(fpStitch))
+        fpStitch.raise();
+}
+
+/**
+ * Bookkeeping of an accepted interval whose events are delivered:
+ * advance the accepted end, add the main leg's counters, and park the
+ * interval's core as the next retry's predecessor.
+ */
+void
+finishAccepted(StitchState &st, IntervalResult &res)
+{
+    st.absLast = static_cast<Cycle>(static_cast<std::int64_t>(res.endCycle) +
+                                    res.run.deltaCycle);
+    statsAccum(st.stats, statsDelta(res.endStats, res.warmupStats));
+    perfAccum(st.perf, perfDelta(res.endPerf, res.warmupPerf));
+    st.parallelCycles += res.endCycle - res.warmupEndCycle;
+    st.halted = res.halted;
+    st.parkedFingerprint = res.endFingerprint;
+    st.parkedParts = std::move(res.endParts);
+    res.releaseBuffers();
+    st.parked = std::move(res.run);
+}
+
+/**
+ * Deliver interval 0 from its hand-off while it still simulates, until
+ * its worker posts its result (returned; the caller checks failure).
+ */
+std::unique_ptr<IntervalResult>
+streamFirstInterval(StitchState &st)
+{
+    SimShared &sh = *st.sh;
+    for (;;) {
+        std::unique_ptr<TraceChunk> c;
+        std::unique_ptr<IntervalResult> res;
+        {
+            MutexLock lock(sh.mu);
+            while (sh.handoff.empty() && !sh.results[0])
+                sh.cv.wait(sh.mu);
+            if (sh.results[0] &&
+                (sh.results[0]->failed || sh.handoff.empty())) {
+                res = std::move(sh.results[0]);
+                sh.taken = 1;
+            } else {
+                c = std::move(sh.handoff.front());
+                sh.handoff.pop_front();
+            }
+            sh.cv.notify_all();
+        }
+        if (res)
+            return res;
+        stitchSeam();
+        deliverChunk(st, *c, 0, 0);
+    }
+}
+
+/** Accept interval @p res: decode, rebase and deliver its frames. */
+void
+acceptWorker(StitchState &st, IntervalResult &res)
+{
+    res.run.deltaCycle = static_cast<std::int64_t>(st.absLast) -
+                         static_cast<std::int64_t>(res.warmupEndCycle);
+    const std::vector<std::uint8_t> &frames = res.frames;
+    std::size_t off = 0;
+    std::string why;
+    while (off < frames.size()) {
+        std::size_t used = 0;
+        if (!st.decoder.decode(frames.data() + off, frames.size() - off,
+                               st.decoded, &used, &why))
+            throw std::runtime_error("time-parallel frame of interval " +
+                                     std::to_string(res.index) + ": " + why);
+        stitchSeam();
+        deliverChunk(st, st.decoded, res.run.deltaCycle, res.run.deltaSeq,
+                     frames.data() + off, used);
+        off += used;
+    }
+    finishAccepted(st, res);
 }
 
 /**
  * Redo interval @p j serially on the parked predecessor core — an
- * exact continuation of the accepted stream by construction.
+ * exact continuation of the accepted stream by construction — and
+ * deliver straight from it.
  */
 void
 retrySerially(const SimPlan &sp, StitchState &st, std::uint64_t j)
@@ -595,17 +939,21 @@ retrySerially(const SimPlan &sp, StitchState &st, std::uint64_t j)
     const bool last = (j + 1 == sp.intervals);
     const CoreStats statsBefore = run.core->stats();
     const SimPerf perfBefore = run.core->perf();
-    run.capture->events.clear();
 
+    run.sink->setRoute([&st, &run](TraceChunk &c) {
+        deliverChunk(st, c, run.deltaCycle, run.deltaSeq);
+        c.events.clear();
+        c.cycleRecords = 0;
+    });
     // Local target: the interval's absolute uop boundary minus this
     // core's seq base (its local seq count is its committed count).
     const std::uint64_t target =
         last ? ~std::uint64_t(0)
              : (j + 1) * sp.intervalUops - run.deltaSeq;
     run.core->runUntilCommitted(target, kLegMaxCycles);
+    run.sink->flush();
+    run.sink->setRoute(nullptr);
 
-    std::vector<TraceEvent> &evs = run.capture->events;
-    acceptEvents(st, evs.data(), evs.size(), run.deltaCycle, run.deltaSeq);
     st.absLast = static_cast<Cycle>(
         static_cast<std::int64_t>(run.core->cycle() - 1) + run.deltaCycle);
     statsAccum(st.stats, statsDelta(run.core->stats(), statsBefore));
@@ -614,33 +962,6 @@ retrySerially(const SimPlan &sp, StitchState &st, std::uint64_t j)
     st.parkedFingerprint = run.core->stateFingerprint();
     if (std::getenv("TEA_SIM_DEBUG"))
         st.parkedParts = run.core->stateFingerprintParts();
-    evs.clear();
-    trimTail(st);
-}
-
-/** Accept interval @p j from worker result @p res. */
-void
-acceptWorker(StitchState &st, IntervalResult &res)
-{
-    std::vector<TraceEvent> &evs = res.run.capture->events;
-    const std::int64_t dcycle = static_cast<std::int64_t>(st.absLast) -
-                                static_cast<std::int64_t>(res.warmupEndCycle);
-    res.run.deltaCycle = dcycle;
-    acceptEvents(st, evs.data() + res.mainBegin, evs.size() - res.mainBegin,
-                 dcycle, res.run.deltaSeq);
-    st.absLast =
-        static_cast<Cycle>(static_cast<std::int64_t>(res.endCycle) + dcycle);
-    statsAccum(st.stats, statsDelta(res.endStats, res.warmupStats));
-    perfAccum(st.perf, perfDelta(res.endPerf, res.warmupPerf));
-    st.parallelCycles += res.endCycle - res.warmupEndCycle;
-    st.halted = res.halted;
-    st.parkedFingerprint = res.endFingerprint;
-    st.parkedParts = std::move(res.endParts);
-    evs.clear();
-    evs.shrink_to_fit();
-    trimTail(st);
-    // The worker's core replaces the parked predecessor.
-    st.parked = std::move(res.run);
 }
 
 /**
@@ -707,6 +1028,86 @@ countUopsToHalt(const Program &prog, const ArchState &initial,
 }
 
 /**
+ * Stitch intervals 0..K-1 into @p st's sinks: interval 0 streams,
+ * each later one is accepted or redone serially.
+ */
+void
+stitchIntervals(const SimPlan &sp, SimShared &sh, StitchState &st)
+{
+    const std::uint64_t K = sp.intervals;
+    for (std::uint64_t j = 0; j < K; ++j) {
+        st.current = j;
+        st.need = WarmupNeed{};
+        if (j == 0) {
+            // Worker 0 is the serial prefix: always accepted, with a
+            // zero delta on both axes. Its leg includes cycle 0, which
+            // endCycle - warmupEndCycle undercounts by one.
+            std::unique_ptr<IntervalResult> res = streamFirstInterval(st);
+            if (res->failed)
+                throw std::runtime_error("time-parallel worker 0: " +
+                                         res->error);
+            st.parallelCycles += 1;
+            finishAccepted(st, *res);
+            continue;
+        }
+        std::unique_ptr<IntervalResult> res;
+        {
+            MutexLock lock(sh.mu);
+            while (!sh.results[j])
+                sh.cv.wait(sh.mu);
+            res = std::move(sh.results[j]);
+            sh.taken = j + 1;
+            sh.cv.notify_all();
+        }
+        if (!res->failed)
+            st.warmupCycles += res->warmupEndCycle + 1;
+
+        const bool sound = structurallySound(sp, *res);
+        Cycle matched = 0;
+        Cycle overlap = 0;
+        if (sound)
+            std::tie(matched, overlap) = matchedSuffix(st, *res);
+        const Cycle required = convergedWindow(overlap);
+        // Two-leg acceptance: the output suffix near the boundary
+        // must match (pipeline-visible state), and the latent
+        // memory/ordering state must hash identically to the
+        // predecessor's at the same committed-uop boundary (the
+        // state no output window can prove).
+        const bool stateMatch =
+            sound && res->warmupFingerprint == st.parkedFingerprint;
+        const bool converged = stateMatch && matched >= required;
+        if (std::getenv("TEA_SIM_DEBUG"))
+            std::fprintf(stderr,
+                         "tea-sim: interval %llu %s (sound=%d "
+                         "state=%d matched=%llu/%llu required=%llu "
+                         "warmupEnd=%llu end=%llu absLast=%llu)\n",
+                         static_cast<unsigned long long>(j),
+                         converged ? "accepted" : "retried", sound,
+                         stateMatch,
+                         static_cast<unsigned long long>(matched),
+                         static_cast<unsigned long long>(overlap),
+                         static_cast<unsigned long long>(required),
+                         static_cast<unsigned long long>(
+                             res->warmupEndCycle),
+                         static_cast<unsigned long long>(res->endCycle),
+                         static_cast<unsigned long long>(st.absLast));
+        if (std::getenv("TEA_SIM_DEBUG") && sound && !stateMatch &&
+            res->warmupParts.size() == st.parkedParts.size()) {
+            for (std::size_t p = 0; p < res->warmupParts.size(); ++p)
+                if (res->warmupParts[p].second != st.parkedParts[p].second)
+                    std::fprintf(stderr, "tea-sim:   state diff: %s\n",
+                                 res->warmupParts[p].first);
+        }
+        if (converged) {
+            acceptWorker(st, *res);
+        } else {
+            res.reset(); // free its buffers before the retry runs
+            retrySerially(sp, st, j);
+        }
+    }
+}
+
+/**
  * The time-parallel path proper. Returns false when the plan turned
  * out unusable (pre-pass did not halt / too short to split) and the
  * caller should run serially instead; on success fills everything.
@@ -718,42 +1119,37 @@ runTimeParallel(const CoreConfig &cfg, const Program &prog,
                 CoreStats *stats_out, SimPerf *perf_out,
                 TimeParallelStats *tp)
 {
-    // Resolve the interval geometry. An explicit TEA_SIM_INTERVAL is
-    // taken as-is; otherwise one interval per worker, floored so the
-    // warmup prefix stays a fraction of the interval.
+    // Resolve the interval geometry from the run's functional length
+    // (a plain execute walk, a few percent of the checkpoint pre-pass).
+    // An explicit TEA_SIM_INTERVAL is taken as-is; otherwise one
+    // interval per worker, floored so the warmup prefix stays a
+    // fraction of the interval.
+    constexpr std::uint64_t kPrePassBudget = 1ULL << 33;
+    const std::uint64_t total = countUopsToHalt(prog, initial, kPrePassBudget);
+    if (total == 0)
+        return false; // does not halt in budget; serial owns it
     std::uint64_t warmup = std::max<std::uint64_t>(1, opts.warmupUops);
     std::uint64_t interval = opts.intervalUops;
-    constexpr std::uint64_t kPrePassBudget = 1ULL << 33;
-    if (interval == 0) {
-        const std::uint64_t total =
-            countUopsToHalt(prog, initial, kPrePassBudget);
-        if (total == 0)
-            return false; // does not halt in budget; serial owns it
+    if (interval == 0)
         interval = std::max<std::uint64_t>(2 * warmup,
                                            (total + threads - 1) / threads);
-    }
     if (interval < 2)
         return false;
     if (warmup >= interval)
         warmup = interval / 2; // >= 1 because interval >= 2
-
-    CheckpointPlan plan = buildCheckpoints(prog, initial, interval, warmup,
-                                           kPrePassBudget, &cfg);
-    if (!plan.halted)
-        return false;
-    const std::uint64_t K =
-        (plan.totalUops + interval - 1) / interval;
+    const std::uint64_t K = (total + interval - 1) / interval;
     if (K < 2)
         return false;
-    tea_assert(plan.checkpoints.size() >= K - 1,
-               "plan has %zu checkpoints for %llu intervals",
-               plan.checkpoints.size(), static_cast<unsigned long long>(K));
 
     SimPlan sp;
     sp.cfg = &cfg;
     sp.prog = &prog;
     sp.initial = &initial;
-    sp.plan = &plan;
+    sp.plan = std::async(std::launch::async, [&, interval, warmup] {
+                  return buildCheckpoints(prog, initial, interval, warmup,
+                                          kPrePassBudget, &cfg);
+              }).share();
+    sp.totalUops = total;
     sp.intervals = K;
     sp.intervalUops = interval;
     sp.warmupUops = warmup;
@@ -765,6 +1161,7 @@ runTimeParallel(const CoreConfig &cfg, const Program &prog,
     {
         MutexLock lock(sh.mu);
         sh.results.resize(K);
+        sh.needs.resize(K);
     }
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -776,97 +1173,30 @@ runTimeParallel(const CoreConfig &cfg, const Program &prog,
         // tea_lint: allow(unguarded-worker)
         pool.emplace_back([&sp, &sh] { workerLoop(sp, sh); });
 
-    StitchState st;
-    st.sinks = sinks;
-    std::string failure;
-    try {
-        for (std::uint64_t j = 0; j < K; ++j) {
-            std::unique_ptr<IntervalResult> res;
-            {
-                MutexLock lock(sh.mu);
-                while (!sh.results[j])
-                    sh.cv.wait(sh.mu);
-                res = std::move(sh.results[j]);
-                sh.taken = j + 1;
-                sh.cv.notify_all();
-            }
-            if (res->index > 0 && !res->failed) {
-                st.warmupCycles += res->warmupEndCycle + 1;
-                st.maxWarmupSpan =
-                    std::max(st.maxWarmupSpan, res->warmupEndCycle + 1);
-            }
-
-            if (j == 0) {
-                if (res->failed)
-                    throw std::runtime_error("time-parallel worker 0: " +
-                                             res->error);
-                // Worker 0 is the serial prefix: always accepted, with
-                // a zero delta on both axes. Its leg includes cycle 0,
-                // which endCycle - warmupEndCycle undercounts by one.
-                st.parallelCycles += 1;
-                acceptWorker(st, *res);
-                continue;
-            }
-            const bool sound = structurallySound(sp, *res);
-            Cycle matched = 0;
-            Cycle overlap = 0;
-            if (sound)
-                std::tie(matched, overlap) = matchedSuffix(st, *res);
-            const Cycle required = convergedWindow(overlap);
-            // Two-leg acceptance: the output suffix near the boundary
-            // must match (pipeline-visible state), and the latent
-            // memory/ordering state must hash identically to the
-            // predecessor's at the same committed-uop boundary (the
-            // state no output window can prove).
-            const bool stateMatch =
-                sound && res->warmupFingerprint == st.parkedFingerprint;
-            const bool converged = stateMatch && matched >= required;
-            if (std::getenv("TEA_SIM_DEBUG"))
-                std::fprintf(stderr,
-                             "tea-sim: interval %llu %s (sound=%d "
-                             "state=%d matched=%llu/%llu required=%llu "
-                             "warmupEnd=%llu end=%llu absLast=%llu)\n",
-                             static_cast<unsigned long long>(j),
-                             converged ? "accepted" : "retried", sound,
-                             stateMatch,
-                             static_cast<unsigned long long>(matched),
-                             static_cast<unsigned long long>(overlap),
-                             static_cast<unsigned long long>(required),
-                             static_cast<unsigned long long>(
-                                 res->warmupEndCycle),
-                             static_cast<unsigned long long>(res->endCycle),
-                             static_cast<unsigned long long>(st.absLast));
-            if (std::getenv("TEA_SIM_DEBUG") && sound && !stateMatch &&
-                res->warmupParts.size() == st.parkedParts.size()) {
-                for (std::size_t p = 0; p < res->warmupParts.size(); ++p)
-                    if (res->warmupParts[p].second !=
-                        st.parkedParts[p].second)
-                        std::fprintf(stderr,
-                                     "tea-sim:   state diff: %s\n",
-                                     res->warmupParts[p].first);
-            }
-            if (converged)
-                acceptWorker(st, *res);
-            else
-                retrySerially(sp, st, j);
-        }
-    } catch (...) {
+    // Abort wakes every worker (one blocked on a full hand-off throws
+    // out of its leg; the others stop at their next chunk or claim),
+    // then joins them all.
+    const auto stopWorkers = [&sh, &pool] {
         {
             MutexLock lock(sh.mu);
-            sh.aborted = true;
+            // release: workers polling without the lock see it.
+            sh.aborted.store(true, std::memory_order_release);
             sh.cv.notify_all();
         }
         for (std::thread &t : pool)
             t.join();
+    };
+    StitchState st;
+    st.sh = &sh;
+    st.sinks = sinks;
+    st.intervals = K;
+    try {
+        stitchIntervals(sp, sh, st);
+    } catch (...) {
+        stopWorkers();
         throw;
     }
-    {
-        MutexLock lock(sh.mu);
-        sh.aborted = true;
-        sh.cv.notify_all();
-    }
-    for (std::thread &t : pool)
-        t.join();
+    stopWorkers();
 
     tea_assert(st.halted, "time-parallel simulation did not halt");
     tea_assert(st.stats.cycles == st.absLast + 1,
@@ -885,6 +1215,8 @@ runTimeParallel(const CoreConfig &cfg, const Program &prog,
             ? static_cast<double>(st.parallelCycles) /
                   static_cast<double>(st.stats.cycles)
             : 0.0;
+    // relaxed: every worker is joined, which orders their updates.
+    tp->peakBufferedBytes = sh.peakBuffered.load(std::memory_order_relaxed);
     return true;
 }
 

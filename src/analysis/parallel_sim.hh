@@ -16,6 +16,13 @@
  * delivers them to the caller's sinks — bit-identical to a serial run
  * when every interval converges.
  *
+ * Memory is bounded by design: a worker keeps only its warmup leg
+ * verbatim and buffers its main leg as codec frames (core/trace_codec,
+ * a few bytes per event); interval 0, which needs no checkpoint,
+ * streams to the sinks through a bounded hand-off while the pre-pass
+ * and the other intervals run; and the stitcher keeps only the
+ * accepted suffix the next convergence check reads.
+ *
  * When an interval fails the convergence check, the stitcher falls
  * back to exact serial continuation: the previous interval's core is
  * parked alive at the boundary, so re-running the failed interval on
@@ -50,9 +57,10 @@ enum class SimParallelMode
 struct TimeParallelOptions
 {
     /**
-     * Worker threads (TEA_SIM_THREADS). 1 disables time-parallelism
-     * (the default: it is an opt-in speed/memory trade); 0 means one
-     * per hardware thread.
+     * Worker threads (TEA_SIM_THREADS). 1 (the default) simulates
+     * serially; 0 means one per hardware thread. More threads add
+     * about one warmup leg of verbatim events per worker to the
+     * codec-frame buffers, never a per-event copy of the run.
      */
     unsigned threads = 1;
 
@@ -94,6 +102,13 @@ struct TimeParallelStats
      * parallel intervals (1.0 = perfect, 0 = fully serial fallback).
      */
     double parallelEfficiency = 0.0;
+
+    /**
+     * High-water mark of the bytes the run buffered at once: worker
+     * codec frames, verbatim warmup legs and the stitcher's tail
+     * frames together (interval 0's hand-off adds a fixed few MB).
+     */
+    std::uint64_t peakBufferedBytes = 0;
 };
 
 /**
@@ -105,6 +120,11 @@ struct TimeParallelStats
  * the pre-pass budget, the run is too short to split, or the config
  * uses sampling interrupts (whose absolute-cycle phase a restarted
  * interval cannot reproduce).
+ *
+ * A worker failure on any interval but the first is redone serially
+ * like a non-converged interval. A failure in interval 0 (already
+ * streamed to the sinks), in the stitcher or in a sink throws, after
+ * every worker has been joined.
  *
  * @param stats_out filled with the stitched CoreStats (never null)
  * @param perf_out filled with the summed SimPerf of the accepted legs

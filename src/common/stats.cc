@@ -162,11 +162,13 @@ ReplayStats::render() const
     if (simParallel) {
         out += strprintf(
             "  time-parallel: %llu interval(s), %llu warmup cycle(s), "
-            "%llu convergence retry(s), %.1f%% parallel\n",
+            "%llu convergence retry(s), %.1f%% parallel, %.1f MB "
+            "buffered at peak\n",
             static_cast<unsigned long long>(simIntervals),
             static_cast<unsigned long long>(simWarmupCycles),
             static_cast<unsigned long long>(simConvergenceRetries),
-            simParallelEfficiency * 100.0);
+            simParallelEfficiency * 100.0,
+            static_cast<double>(simPeakBufferedBytes) / 1e6);
     }
     if (cacheHit || cacheStored)
         out += strprintf("  cache: %s, %llu byte(s) on disk\n",
@@ -224,9 +226,10 @@ ReplayStats::renderLine() const
             simEventsPerSecond() / 1e6);
     }
     if (simParallel)
-        out += strprintf(" [time-parallel x%llu, %.0f%%]",
+        out += strprintf(" [time-parallel x%llu, %.0f%%, %.1f MB peak]",
                          static_cast<unsigned long long>(simIntervals),
-                         simParallelEfficiency * 100.0);
+                         simParallelEfficiency * 100.0,
+                         static_cast<double>(simPeakBufferedBytes) / 1e6);
     out += cacheHit ? " [cache hit]" : "";
     return out;
 }

@@ -134,6 +134,7 @@ struct ReplayStats
     std::uint64_t simWarmupCycles = 0;    ///< worker cycles spent warming up
     std::uint64_t simConvergenceRetries = 0; ///< intervals redone serially
     double simParallelEfficiency = 0.0; ///< accepted parallel cycle fraction
+    std::uint64_t simPeakBufferedBytes = 0; ///< high-water trace buffering
     std::vector<ReplayWorkerStats> workers;
 
     // Trace-cache counters (see analysis/trace_cache).

@@ -141,6 +141,16 @@ class Core
          InstIndex start_pc, std::uint64_t uop_base = 0,
          const BranchPredictor *warm_predictor = nullptr);
 
+    /**
+     * The core keeps references to its config and program, so a
+     * temporary for either would dangle once the constructor returns:
+     * every constructor's rvalue form is deleted.
+     */
+    template <typename... Rest>
+    Core(CoreConfig &&cfg, Rest &&...rest) = delete;
+    template <typename... Rest>
+    Core(const CoreConfig &cfg, Program &&prog, Rest &&...rest) = delete;
+
     /** Register a trace observer (not owned). */
     void addSink(TraceSink *sink);
 

@@ -5,6 +5,8 @@
  * trace invariants.
  */
 
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "test_util.hh"
@@ -81,6 +83,26 @@ eventCount(const CoreStats &s, Event e)
 {
     return s.eventCounts[static_cast<unsigned>(e)];
 }
+
+// Core keeps references to its config and program: no constructor may
+// accept a temporary for either, or the core would dangle.
+static_assert(std::is_constructible_v<Core, const CoreConfig &,
+                                      const Program &, ArchState>);
+static_assert(!std::is_constructible_v<Core, CoreConfig, const Program &,
+                                       ArchState>);
+static_assert(!std::is_constructible_v<Core, const CoreConfig &, Program,
+                                       ArchState>);
+static_assert(!std::is_constructible_v<Core, CoreConfig, Program,
+                                       ArchState>);
+static_assert(!std::is_constructible_v<Core, CoreConfig, const Program &,
+                                       ArchState, Uncore &>);
+static_assert(!std::is_constructible_v<Core, const CoreConfig &, Program,
+                                       ArchState, Uncore &>);
+static_assert(!std::is_constructible_v<Core, CoreConfig, const Program &,
+                                       ArchState, InstIndex>);
+static_assert(!std::is_constructible_v<Core, const CoreConfig &, Program,
+                                       ArchState, InstIndex, std::uint64_t,
+                                       const BranchPredictor *>);
 
 } // namespace
 

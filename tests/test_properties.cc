@@ -5,6 +5,8 @@
  * functional correctness across configuration and workload sweeps.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -50,6 +52,15 @@ struct ConfigCase
     unsigned sq;
     unsigned mem_iq;
 };
+
+// gtest would otherwise print the raw bytes of the case, name pointer
+// and padding included, into the test name, which then changes from
+// one build to the next.
+void
+PrintTo(const ConfigCase &c, std::ostream *os)
+{
+    *os << '"' << c.name << '"';
+}
 
 class ConfigSweep : public ::testing::TestWithParam<ConfigCase>
 {
