@@ -376,7 +376,7 @@ measureSimulator()
         SimPerf pf;
         const auto start = std::chrono::steady_clock::now();
         TimeParallelStats tp = simulateTimeParallel(
-            cfg, w.program, w.initial, opts, {&sink}, &st, &pf);
+            cfg, w.program, std::move(w.initial), opts, {&sink}, &st, &pf);
         sink.finish();
         ParRun p;
         p.seconds = std::chrono::duration<double>(

@@ -336,42 +336,147 @@ replayChunksThroughPool(const std::vector<SinkGroup> &groups,
     return stats;
 }
 
-ReplayStats
-replayThroughPool(const std::vector<SinkGroup> &groups,
-                  const RunnerOptions &opts,
-                  const std::function<void(TraceSink &)> &produce)
+namespace {
+
+/**
+ * Source of a cache hit: decode every frame of @p mapped into
+ * @p deliver, in file order — the one place that picks the parallel
+ * frame decoders or the single in-producer decoder. The single decoder
+ * keeps exactly one chunk in flight when the consumer is inline, so
+ * nextChunk() recycles one warm output buffer (measured: batching
+ * serial decodes cost ~20%).
+ *
+ * @return seconds spent in the decode calls only, so observer time and
+ *         backpressure against the pool never count as decode work
+ */
+double
+decodeEntry(MappedTraceFile &mapped, const RunnerOptions &opts,
+            const ChunkPush &deliver)
 {
-    return replayChunksThroughPool(
-        groups, opts, [&](const ChunkPush &push) {
-            ChunkingSink sink(opts.chunkEvents, [&](TraceChunkPtr c) {
-                push(std::move(c));
-            });
-            produce(sink);
-            sink.finish();
-        });
+    if (opts.decodeThreads > 1)
+        return pumpFramesParallel(mapped, opts.decodeThreads,
+                                  opts.batchFrames, deliver);
+    double seconds = 0.0;
+    for (;;) {
+        const auto t0 = Clock::now();
+        TraceChunkPtr chunk = mapped.nextChunk();
+        seconds += secondsSince(t0);
+        if (!chunk)
+            return seconds;
+        deliver(std::move(chunk));
+    }
 }
+
+/**
+ * The trace-cache protocol of one experiment. Construction leaves
+ * either `hit` (a validated entry) or, on a miss that won the entry
+ * lock, `writer` set; finish() publishes and cleans up after a
+ * successful run. Destruction without finish() (the run threw)
+ * abandons the half-written entry and drops the lock.
+ */
+struct CacheSession
+{
+    CacheSession(const RunnerOptions &opts, const Workload &workload,
+                 const CoreConfig &cfg, const std::string &name)
+        : opts(opts), cache(opts.cache)
+    {
+        if (!cache.enabled())
+            return;
+        // First access in this process: reclaim crash debris (orphaned
+        // tmp files, stale locks, aged quarantine) left by previous
+        // runs before stacking new work on top of it.
+        recovered = CacheJanitor::recoverOnce(cache.options().dir,
+                                              opts.janitor);
+        // The fingerprint keys on workload content, the full config and
+        // the codec version, so a hit is guaranteed to replay the exact
+        // trace a fresh simulation would produce.
+        const std::uint64_t fp = TraceCache::fingerprintOf(workload, cfg);
+        const std::string entry = cache.entryPath(name, fp);
+        hit = cache.openEntry(entry, fp, &ops);
+        if (hit)
+            return; // a hit needs no lock: the mapping pins the file
+        // The rewrite must be serialized against concurrent processes
+        // aiming at the same entry — tmp+rename makes the publish
+        // atomic, but without the lock both would simulate and race
+        // their renames.
+        const std::string lockPath = TraceCache::lockPathFor(entry);
+        if (!lock.acquire(lockPath, opts.cacheLockTimeoutMs)) {
+            ++lockDegrades;
+            tea_warn("trace cache: cannot lock %s within %u ms; "
+                     "simulating without storing",
+                     lockPath.c_str(), opts.cacheLockTimeoutMs);
+            return;
+        }
+        // Revalidate under the lock: whoever held it before us may have
+        // published a healthy entry while we waited.
+        hit = cache.openEntry(entry, fp, &ops);
+        if (hit) {
+            lock.release();
+            return;
+        }
+        writer = std::make_unique<CompactTraceWriter>(entry, fp);
+        // Admission control: an entry that alone exceeds the cache
+        // budget would be evicted by the very next janitor pass.
+        writer->setByteLimit(opts.janitor.maxBytes);
+    }
+
+    /**
+     * Publish a stored entry with the run's @p stats and, when the
+     * store may have pushed the cache past its byte budget, run a
+     * janitor pass to evict the coldest entries back under it. Every
+     * cache counter lands in @p out.
+     */
+    void finish(const CoreStats &stats, ReplayStats &out)
+    {
+        auto addJanitor = [&out](const JanitorStats &js) {
+            out.janitorRemovals += js.removals();
+            out.cacheEvictions += js.evictedEntries;
+            out.cacheEvictedBytes += js.evictedBytes;
+        };
+        addJanitor(recovered);
+        out.lockDegrades += lockDegrades;
+        out.ioRetries += ops.retry.retries;
+        out.ioRecoveries += ops.retry.recoveries;
+        out.quarantined += ops.quarantined;
+        out.cacheHit = hit != nullptr;
+        if (hit)
+            out.cacheBytes = hit->fileBytes();
+        if (!writer)
+            return;
+        out.cacheStored = writer->commit(stats);
+        out.cacheBytes = writer->bytesWritten();
+        out.cacheAdmissionDenied = writer->admissionDenied();
+        out.ioRetries += writer->retryStats().retries;
+        out.ioRecoveries += writer->retryStats().recoveries;
+        lock.release();
+        if (opts.janitor.maxBytes > 0 && out.cacheStored)
+            addJanitor(CacheJanitor(cache.options().dir, opts.janitor).gc());
+    }
+
+    const RunnerOptions &opts;
+    TraceCache cache;
+    JanitorStats recovered;
+    unsigned lockDegrades = 0;
+    CacheOpStats ops;
+    FileLock lock;
+    std::unique_ptr<MappedTraceFile> hit;
+    std::unique_ptr<CompactTraceWriter> writer;
+};
+
+} // namespace
 
 ExperimentResult
 runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
             const RunnerOptions &opts, const CoreConfig &cfg)
 {
+    // Static init is long over: a TEA_FAILPOINTS entry still parked
+    // names no seam in this binary and must not silently test nothing.
     failpoints::checkEnvConsumed();
-    TraceCache cache(opts.cache);
-    if (!cache.enabled() && opts.threads <= 1 && opts.audit == 0 &&
-        !opts.sim.wantsParallel()) {
-        // Serial path without caching, auditing or time-parallel
-        // simulation: observers attached directly to the live core,
-        // bit-for-bit the historical behaviour.
-        return runWorkload(std::move(workload), std::move(techniques),
-                           cfg);
-    }
 
-    // TEA_AUDIT >= 2 re-runs multi-threaded experiments serially and
-    // demands bit-identical Pics; keep a pristine copy of the workload
-    // before the primary run consumes it.
-    const bool crossCheck = opts.audit >= 2 && opts.threads > 1;
+    // TEA_AUDIT >= 2 re-runs pooled or time-parallel experiments fully
+    // serially; keep a pristine copy before the run consumes it.
     std::unique_ptr<Workload> pristine;
-    if (crossCheck)
+    if (opts.audit >= 2 && (opts.threads > 1 || opts.sim.wantsParallel()))
         pristine = std::make_unique<Workload>(workload);
 
     const auto start = Clock::now();
@@ -395,7 +500,6 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
     if (opts.audit > 0)
         auditor = std::make_unique<InvariantAuditor>(
             InvariantAuditor::Mode::FailFast);
-
     std::vector<SinkGroup> groups;
     groups.reserve(samplers.size() + 2);
     groups.push_back(SinkGroup{{res.golden.get()}});
@@ -404,213 +508,81 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
     if (auditor)
         groups.push_back(SinkGroup{{auditor.get()}});
 
-    // Cache lookup: the fingerprint keys on workload content, the full
-    // config and the codec version, so a hit is guaranteed to replay
-    // the exact trace a fresh simulation would produce.
-    std::uint64_t fp = 0;
-    std::string entry;
-    std::unique_ptr<MappedTraceFile> mapped;
-    CacheOpStats cacheOps;
-    FileLock storeLock;
-    if (cache.enabled()) {
-        // First access in this process: reclaim crash debris (orphaned
-        // tmp files, stale locks, aged quarantine) left by previous
-        // runs before stacking new work on top of it.
-        const JanitorStats recovered = CacheJanitor::recoverOnce(
-            cache.options().dir, opts.janitor);
-        res.replay.janitorRemovals += recovered.removals();
-        res.replay.cacheEvictions += recovered.evictedEntries;
-        res.replay.cacheEvictedBytes += recovered.evictedBytes;
+    CacheSession cache(opts, workload, cfg, res.name);
+    MappedTraceFile *const hit = cache.hit.get();
+    CompactTraceWriter *const writer = cache.writer.get();
 
-        fp = TraceCache::fingerprintOf(workload, cfg);
-        entry = cache.entryPath(res.name, fp);
-        mapped = cache.openEntry(entry, fp, &cacheOps);
-        if (!mapped) {
-            // Miss (or a damaged entry just quarantined): the rewrite
-            // must be serialized against concurrent processes aiming at
-            // the same entry — tmp+rename makes the publish atomic, but
-            // without the lock two processes would both simulate and
-            // race their renames.
-            if (storeLock.acquire(TraceCache::lockPathFor(entry),
-                                  opts.cacheLockTimeoutMs)) {
-                // Revalidate under the lock: whoever held it before us
-                // may have published a healthy entry while we waited.
-                mapped = cache.openEntry(entry, fp, &cacheOps);
-            } else {
-                ++res.replay.lockDegrades;
-                tea_warn("trace cache: cannot lock %s within %u ms; "
-                         "simulating without storing",
-                         TraceCache::lockPathFor(entry).c_str(),
-                         opts.cacheLockTimeoutMs);
-            }
+    // Source: the whole trace in capture order. A hit decodes the entry
+    // into @p push. A miss simulates (serially, or along the time axis
+    // when opts.sim asks; nothing downstream can tell) straight into
+    // the @p live sinks, chunking the stream only for the chunk takers:
+    // the pool (@p live null) and the cache writer. A serial inline run
+    // thus pays no per-event chunk copy unless it stores.
+    CoreStats simStats;
+    SimPerf simPerf;
+    TimeParallelStats simPar;
+    double simulateSeconds = 0.0, decodeSeconds = 0.0;
+    std::uint64_t chunks = 0, events = 0;
+    auto produce = [&](const std::vector<TraceSink *> *live,
+                       const ChunkPush &push) {
+        if (hit) {
+            decodeSeconds = decodeEntry(*hit, opts, push);
+            return;
         }
-        // A hit needs no lock: the mapping pins the published file even
-        // if another process later replaces or quarantines the path.
-        if (mapped)
-            storeLock.release();
-    }
+        std::vector<TraceSink *> sinks;
+        if (live)
+            sinks = *live;
+        ChunkingSink chunker(opts.chunkEvents, [&](TraceChunkPtr c) {
+            if (writer)
+                writer->writeChunk(*c);
+            if (!live)
+                push(std::move(c));
+        });
+        if (!live || writer)
+            sinks.push_back(&chunker);
+        const auto t0 = Clock::now();
+        simPar = simulateTimeParallel(cfg, workload.program,
+                                      std::move(workload.initial), opts.sim,
+                                      sinks, &simStats, &simPerf);
+        simulateSeconds = secondsSince(t0);
+        chunker.finish();
+        chunks = chunker.chunksEmitted();
+        events = chunker.eventsCaptured();
+    };
 
-    if (mapped) {
-        // Hit: no core is built at all; the trace streams out of the
-        // mapping and the recorded CoreStats stand in for core.stats().
-        if (opts.threads <= 1) {
-            std::vector<TraceSink *> sinks;
-            for (const SinkGroup &g : groups)
-                sinks.insert(sinks.end(), g.sinks.begin(),
-                             g.sinks.end());
-            auto replayOne = [&](TraceChunkPtr chunk) {
-                const auto t1 = Clock::now();
-                replayChunk(*chunk, sinks);
-                res.replay.replaySeconds += secondsSince(t1);
-                ++res.replay.chunksProduced;
-                res.replay.eventsCaptured += chunk->events.size();
-            };
-            if (opts.decodeThreads > 1) {
-                res.replay.decodeSeconds = pumpFramesParallel(
-                    *mapped, opts.decodeThreads, opts.batchFrames,
-                    replayOne);
-            } else {
-                // Single decoder: decode one frame, replay it, reuse
-                // the same chunk storage for the next frame. Keeping
-                // exactly one chunk in flight is deliberate — it lets
-                // nextChunk() recycle one warm output buffer, and the
-                // assemble stores hitting warm cache lines outweigh
-                // any decode-locality gain from grouping frames
-                // (measured: batching serial decodes cost ~20%).
-                for (;;) {
-                    const auto t0 = Clock::now();
-                    TraceChunkPtr chunk = mapped->nextChunk();
-                    res.replay.decodeSeconds += secondsSince(t0);
-                    if (!chunk)
-                        break;
-                    replayOne(std::move(chunk));
-                }
-            }
-        } else {
-            // Pure decode time is metered inside the pump — around
-            // each decodeFrame/nextChunk call only — so backpressure
-            // stalls against the replay pool no longer masquerade as
-            // decode work, and simulateSeconds stays 0: nothing was
-            // simulated on a warm hit.
-            double decode_seconds = 0.0;
-            res.replay = replayChunksThroughPool(
-                groups, opts, [&](const ChunkPush &push) {
-                    if (opts.decodeThreads > 1) {
-                        decode_seconds = pumpFramesParallel(
-                            *mapped, opts.decodeThreads,
-                            opts.batchFrames, push);
-                        return;
-                    }
-                    for (;;) {
-                        const auto t0 = Clock::now();
-                        TraceChunkPtr c = mapped->nextChunk();
-                        decode_seconds += secondsSince(t0);
-                        if (!c)
-                            break;
-                        push(std::move(c));
-                    }
-                });
-            res.replay.decodeSeconds = decode_seconds;
-            res.replay.simulateSeconds = 0.0;
-        }
-        res.stats = mapped->coreStats();
-        res.replay.cacheHit = true;
-        res.replay.cacheBytes = mapped->fileBytes();
-    } else {
-        // Miss (or caching off): simulate, teeing the chunk stream into
-        // the cache writer so the next run with this fingerprint hits.
-        // Only the lock holder stores; a runner that lost the lock race
-        // still computes its results, it just leaves no entry behind.
-        std::unique_ptr<CompactTraceWriter> writer;
-        if (cache.enabled() && storeLock.held()) {
-            writer = std::make_unique<CompactTraceWriter>(entry, fp);
-            // Admission control: an entry that alone exceeds the cache
-            // budget would be evicted by the very next janitor pass —
-            // abandon it mid-write instead of finishing it.
-            writer->setByteLimit(opts.janitor.maxBytes);
-        }
-
-        // The simulate call dispatches on opts.sim: with sim.threads
-        // <= 1 it is exactly the historical serial core.run(); with
-        // more it splits the run along the time axis and stitches the
-        // intervals back bit-identically (analysis/parallel_sim), so
-        // everything downstream — cache writer, observers, audit — is
-        // oblivious to how the stream was produced.
-        CoreStats simStats;
-        SimPerf simPerf;
-        TimeParallelStats simPar;
-        const auto simulate = [&](const std::vector<TraceSink *> &sinks) {
-            simPar = simulateTimeParallel(cfg, workload.program,
-                                          workload.initial, opts.sim, sinks,
-                                          &simStats, &simPerf);
-        };
-        if (opts.threads <= 1) {
-            std::vector<TraceSink *> sinks;
-            for (const SinkGroup &g : groups)
-                sinks.insert(sinks.end(), g.sinks.begin(), g.sinks.end());
-            std::unique_ptr<ChunkingSink> tee;
-            if (writer) {
-                tee = std::make_unique<ChunkingSink>(
-                    opts.chunkEvents, [&](TraceChunkPtr c) {
-                        writer->writeChunk(*c);
-                    });
-                sinks.push_back(tee.get());
-            }
+    // Consumer: every observer inline on this thread, or the replay
+    // pool (which reports its own chunk counters and worker stats).
+    if (opts.threads <= 1) {
+        std::vector<TraceSink *> sinks;
+        for (const SinkGroup &g : groups)
+            sinks.insert(sinks.end(), g.sinks.begin(), g.sinks.end());
+        produce(&sinks, [&](TraceChunkPtr chunk) {
             const auto t0 = Clock::now();
-            simulate(sinks);
-            res.replay.simulateSeconds = secondsSince(t0);
-            if (tee) {
-                tee->finish();
-                res.replay.chunksProduced = tee->chunksEmitted();
-                res.replay.eventsCaptured = tee->eventsCaptured();
-            }
-        } else {
-            res.replay = replayChunksThroughPool(
-                groups, opts, [&](const ChunkPush &push) {
-                    ChunkingSink sink(opts.chunkEvents,
-                                      [&](TraceChunkPtr c) {
-                                          if (writer)
-                                              writer->writeChunk(*c);
-                                          push(std::move(c));
-                                      });
-                    simulate({&sink});
-                    sink.finish();
-                });
-        }
-        res.stats = simStats;
-        res.replay.simCycles = simStats.cycles;
-        res.replay.simEvents = simPerf.traceEvents;
-        res.replay.simParallel = simPar.usedParallel;
-        res.replay.simIntervals = simPar.intervals;
-        res.replay.simWarmupCycles = simPar.warmupCycles;
-        res.replay.simConvergenceRetries = simPar.convergenceRetries;
-        res.replay.simParallelEfficiency = simPar.parallelEfficiency;
-        res.replay.simPeakBufferedBytes = simPar.peakBufferedBytes;
-        if (writer) {
-            res.replay.cacheStored = writer->commit(simStats);
-            res.replay.cacheBytes = writer->bytesWritten();
-            res.replay.cacheAdmissionDenied = writer->admissionDenied();
-            res.replay.ioRetries += writer->retryStats().retries;
-            res.replay.ioRecoveries += writer->retryStats().recoveries;
-        }
-        storeLock.release();
-
-        // The store may have pushed the cache past its byte budget:
-        // run a janitor pass (serialized on janitor.lock; skipped when
-        // another process is already at it) to evict the coldest
-        // entries back under it.
-        if (cache.enabled() && opts.janitor.maxBytes > 0 &&
-            res.replay.cacheStored) {
-            const JanitorStats js =
-                CacheJanitor(cache.options().dir, opts.janitor).gc();
-            res.replay.cacheEvictions += js.evictedEntries;
-            res.replay.cacheEvictedBytes += js.evictedBytes;
-            res.replay.janitorRemovals += js.removals();
-        }
+            replayChunk(*chunk, sinks);
+            res.replay.replaySeconds += secondsSince(t0);
+            ++chunks;
+            events += chunk->events.size();
+        });
+        res.replay.chunksProduced = chunks;
+        res.replay.eventsCaptured = events;
+    } else {
+        res.replay = replayChunksThroughPool(
+            groups, opts,
+            [&](const ChunkPush &push) { produce(nullptr, push); });
     }
-    res.replay.ioRetries += cacheOps.retry.retries;
-    res.replay.ioRecoveries += cacheOps.retry.recoveries;
-    res.replay.quarantined += cacheOps.quarantined;
+    res.replay.simulateSeconds = simulateSeconds;
+    res.replay.decodeSeconds = decodeSeconds;
+    // On a hit no core was built: the recorded CoreStats stand in.
+    res.stats = hit ? hit->coreStats() : simStats;
+    res.replay.simCycles = simStats.cycles;
+    res.replay.simEvents = simPerf.traceEvents;
+    res.replay.simParallel = simPar.usedParallel;
+    res.replay.simIntervals = simPar.intervals;
+    res.replay.simWarmupCycles = simPar.warmupCycles;
+    res.replay.simConvergenceRetries = simPar.convergenceRetries;
+    res.replay.simParallelEfficiency = simPar.parallelEfficiency;
+    res.replay.simPeakBufferedBytes = simPar.peakBufferedBytes;
+    cache.finish(res.stats, res.replay);
 
     if (res.replay.workerFailures > 0) {
         std::string first;
@@ -655,37 +627,34 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
     res.program = std::move(workload.program);
     res.replay.totalSeconds = secondsSince(start);
 
-    if (crossCheck) {
+    if (pristine) {
         // Determinism contract (DESIGN.md, "Out-of-band replay at
-        // scale"): the same workload replayed serially must yield
-        // bit-identical Pics for the golden reference and every
-        // technique. The serial re-run keeps the audit level at 1 (so
-        // its own trace is still invariant-checked) and bypasses the
-        // cache so it exercises a fresh simulation.
+        // scale"): a fully serial run — inline observers, serial
+        // simulation, no cache, its own trace still audited — must
+        // yield bit-identical Pics for the golden reference and every
+        // technique.
         RunnerOptions serial = opts;
         serial.threads = 1;
         serial.audit = 1;
         serial.cache.enabled = false;
-        ExperimentResult ref = runWorkload(std::move(*pristine),
-                                           techniques, serial, cfg);
-        std::string diff = auditPicsIdentical(res.golden->pics(),
-                                              ref.golden->pics());
-        if (!diff.empty())
-            tea_fatal("TEA audit: golden PICS diverges between %u "
-                      "threads and serial replay: %s",
-                      opts.threads, diff.c_str());
-        tea_assert(res.techniques.size() == ref.techniques.size(),
-                   "audit re-run produced %zu techniques, expected %zu",
-                   ref.techniques.size(), res.techniques.size());
-        for (std::size_t i = 0; i < res.techniques.size(); ++i) {
+        serial.sim.mode = SimParallelMode::Off;
+        const ExperimentResult ref =
+            runWorkload(std::move(*pristine), techniques, serial, cfg);
+        std::string what = "golden";
+        std::string diff =
+            auditPicsIdentical(res.golden->pics(), ref.golden->pics());
+        for (std::size_t i = 0; diff.empty() && i < res.techniques.size();
+             ++i) {
+            what = "technique '" + res.techniques[i].config.name + "'";
             diff = auditPicsIdentical(res.techniques[i].pics,
-                                      ref.techniques[i].pics);
-            if (!diff.empty())
-                tea_fatal("TEA audit: technique '%s' PICS diverges "
-                          "between %u threads and serial replay: %s",
-                          res.techniques[i].config.name.c_str(),
-                          opts.threads, diff.c_str());
+                                      ref.techniques.at(i).pics);
         }
+        if (!diff.empty())
+            tea_fatal("TEA audit: %s PICS diverges between %u replay "
+                      "thread(s) with time-parallel simulation %s and "
+                      "the serial reference: %s",
+                      what.c_str(), opts.threads,
+                      res.replay.simParallel ? "on" : "off", diff.c_str());
     }
     return res;
 }

@@ -12,9 +12,9 @@
  * makes single-run, many-technique evaluation sound (TEA §4) — while
  * techniques are scored concurrently.
  *
- * This is the engine behind runWorkload()/runBenchmark() when
- * RunnerOptions::threads > 1; the lower-level entry points here are for
- * callers that bring their own TraceSinks.
+ * This is the consumer behind runWorkload()/runBenchmark() when
+ * RunnerOptions::threads > 1; replayChunksThroughPool is also the entry
+ * point for callers that bring their own TraceSinks.
  */
 
 #ifndef TEA_ANALYSIS_PARALLEL_RUNNER_HH
@@ -47,10 +47,10 @@ using ChunkPush = std::function<void(TraceChunkPtr)>;
  * Core of the replay engine: broadcasts every chunk handed to the push
  * callback to min(threads, groups) workers, each driving a round-robin
  * share of @p groups. Blocks until @p pump returns and all workers
- * drain. The chunk source is abstract so three producers share one
- * engine: a live simulation (replayThroughPool), a simulation teeing
- * into a trace-cache writer, and a memory-mapped cached trace being
- * decoded (no simulation at all).
+ * drain. The chunk source is abstract, so any producer can feed it: a
+ * simulation (serial or time-parallel) chunked by a ChunkingSink,
+ * optionally teeing into a trace-cache writer, or the frames of a
+ * memory-mapped cached trace being decoded (no simulation at all).
  *
  * @param groups observer groups (each replayed in-order on one worker)
  * @param opts thread count / chunking / backpressure knobs
@@ -62,17 +62,6 @@ using ChunkPush = std::function<void(TraceChunkPtr)>;
 ReplayStats replayChunksThroughPool(
     const std::vector<SinkGroup> &groups, const RunnerOptions &opts,
     const std::function<void(const ChunkPush &)> &pump);
-
-/**
- * Replay worker pool fed by a live producer: wraps @p produce's sink in
- * a ChunkingSink and pumps the chunks through replayChunksThroughPool.
- *
- * @param produce called with a TraceSink; must generate the full trace
- *        into it (typically by running a Core with the sink attached)
- */
-ReplayStats replayThroughPool(
-    const std::vector<SinkGroup> &groups, const RunnerOptions &opts,
-    const std::function<void(TraceSink &)> &produce);
 
 /**
  * One experiment of a suite run: a workload factory plus the core

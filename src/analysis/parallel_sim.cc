@@ -994,14 +994,18 @@ structurallySound(const SimPlan &sp, const IntervalResult &res)
     return true;
 }
 
-/** Serial reference path shared by the fallback and the oracle. */
+/**
+ * Serial reference path shared by the fallback and the oracle. Takes
+ * the initial state by value so a caller's last use moves the heap
+ * image into the core instead of copying it.
+ */
 void
 runSerialReference(const CoreConfig &cfg, const Program &prog,
-                   const ArchState &initial,
+                   ArchState initial,
                    const std::vector<TraceSink *> &sinks,
                    CoreStats *stats_out, SimPerf *perf_out)
 {
-    Core core(cfg, prog, ArchState(initial));
+    Core core(cfg, prog, std::move(initial));
     for (TraceSink *sink : sinks)
         core.addSink(sink);
     core.run();
@@ -1277,7 +1281,7 @@ TimeParallelOptions::fromEnv()
 
 TimeParallelStats
 simulateTimeParallel(const CoreConfig &cfg, const Program &prog,
-                     const ArchState &initial,
+                     ArchState initial,
                      const TimeParallelOptions &opts,
                      const std::vector<TraceSink *> &sinks,
                      CoreStats *stats_out, SimPerf *perf_out)
@@ -1295,15 +1299,16 @@ simulateTimeParallel(const CoreConfig &cfg, const Program &prog,
     const bool viable = opts.wantsParallel() && threads > 1 &&
                         cfg.samplingInterruptPeriod == 0;
     if (!viable) {
-        runSerialReference(cfg, prog, initial, sinks, stats_out, perf_out);
+        runSerialReference(cfg, prog, std::move(initial), sinks, stats_out,
+                           perf_out);
         return tp;
     }
 
     if (opts.mode != SimParallelMode::Verify) {
         if (!runTimeParallel(cfg, prog, initial, opts, threads, sinks,
                              stats_out, perf_out, &tp))
-            runSerialReference(cfg, prog, initial, sinks, stats_out,
-                               perf_out);
+            runSerialReference(cfg, prog, std::move(initial), sinks,
+                               stats_out, perf_out);
         return tp;
     }
 
@@ -1314,7 +1319,8 @@ simulateTimeParallel(const CoreConfig &cfg, const Program &prog,
     teed.push_back(fpPar.sink());
     if (!runTimeParallel(cfg, prog, initial, opts, threads, teed, stats_out,
                          perf_out, &tp)) {
-        runSerialReference(cfg, prog, initial, sinks, stats_out, perf_out);
+        runSerialReference(cfg, prog, std::move(initial), sinks, stats_out,
+                           perf_out);
         return tp;
     }
     const std::uint64_t parHash = fpPar.finishAndValue();
@@ -1323,7 +1329,8 @@ simulateTimeParallel(const CoreConfig &cfg, const Program &prog,
     CoreStats serStats;
     SimPerf serPerf;
     std::vector<TraceSink *> serSinks{fpSer.sink()};
-    runSerialReference(cfg, prog, initial, serSinks, &serStats, &serPerf);
+    runSerialReference(cfg, prog, std::move(initial), serSinks, &serStats,
+                       &serPerf);
     const std::uint64_t serHash = fpSer.finishAndValue();
 
     if (parHash != serHash || fpPar.events() != fpSer.events() ||

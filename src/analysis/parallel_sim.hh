@@ -114,6 +114,9 @@ struct TimeParallelStats
 /**
  * Simulate @p prog from @p initial under @p cfg, delivering the trace
  * to @p sinks bit-identically to `Core(cfg, prog, initial).run()`.
+ * @p initial is taken by value: a caller done with its state moves it
+ * in, and a serial run then hands the heap image to the core without
+ * a copy.
  *
  * Falls back to a plain serial run (usedParallel == false) when the
  * options do not ask for parallelism, the program does not halt within
@@ -131,7 +134,7 @@ struct TimeParallelStats
  */
 TimeParallelStats simulateTimeParallel(const CoreConfig &cfg,
                                        const Program &prog,
-                                       const ArchState &initial,
+                                       ArchState initial,
                                        const TimeParallelOptions &opts,
                                        const std::vector<TraceSink *> &sinks,
                                        CoreStats *stats_out,

@@ -1,8 +1,5 @@
 #include "analysis/runner.hh"
 
-#include <chrono>
-
-#include "common/failpoint.hh"
 #include "common/logging.hh"
 
 namespace tea {
@@ -39,49 +36,8 @@ ExperimentResult
 runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
             const CoreConfig &cfg)
 {
-    // Static init is long over: a TEA_FAILPOINTS entry still parked
-    // names no seam in this binary and must not silently test nothing.
-    failpoints::checkEnvConsumed();
-
-    using Clock = std::chrono::steady_clock;
-    const auto start = Clock::now();
-
-    ExperimentResult res;
-    res.name = workload.program.name();
-    res.golden = std::make_unique<GoldenReference>();
-    res.golden->reserveCells(workload.program.size());
-
-    std::vector<std::unique_ptr<TechniqueSampler>> samplers;
-    samplers.reserve(techniques.size());
-    for (SamplerConfig &tc : techniques) {
-        samplers.push_back(std::make_unique<TechniqueSampler>(tc));
-        samplers.back()->reserveCells(workload.program.size());
-    }
-
-    Core core(cfg, workload.program, std::move(workload.initial));
-    core.addSink(res.golden.get());
-    for (auto &s : samplers)
-        core.addSink(s.get());
-    const auto sim_start = Clock::now();
-    core.run();
-    // Observers run inline with the core here, so the simulate span
-    // includes their (inseparable) replay work; the distinct
-    // decode/replay buckets belong to the cache-hit and threaded paths.
-    res.replay.simulateSeconds =
-        std::chrono::duration<double>(Clock::now() - sim_start).count();
-    res.replay.simCycles = core.stats().cycles;
-    res.replay.simEvents = core.perf().traceEvents;
-
-    res.stats = core.stats();
-    for (auto &s : samplers) {
-        res.techniques.push_back(TechniqueResult{
-            s->config(), s->pics(), s->samplesTaken(),
-            s->samplesDropped()});
-    }
-    res.program = std::move(workload.program);
-    res.replay.totalSeconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    return res;
+    return runWorkload(std::move(workload), std::move(techniques),
+                       RunnerOptions{}, cfg);
 }
 
 ExperimentResult
@@ -89,7 +45,7 @@ runBenchmark(const std::string &name, std::vector<SamplerConfig> techniques,
              const CoreConfig &cfg)
 {
     return runWorkload(workloads::byName(name), std::move(techniques),
-                       cfg);
+                       RunnerOptions{}, cfg);
 }
 
 } // namespace tea

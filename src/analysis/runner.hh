@@ -37,12 +37,12 @@ struct TechniqueResult
 /**
  * How an experiment is executed.
  *
- * threads == 1 runs the historical serial path: every observer is
- * attached directly to the live core, which is bit-for-bit today's
- * behaviour. threads > 1 captures the trace once and fans it out to
- * worker threads, each replaying through its own observers; because
- * replay delivers the identical event sequence, results are
- * bit-identical to the serial path at any thread count (see DESIGN.md,
+ * threads == 1 runs every observer inline: attached directly to the
+ * live core when the trace is simulated, fed decoded chunks when it
+ * comes from the trace cache. threads > 1 captures the trace once and
+ * fans it out to worker threads, each replaying through its own
+ * observers; because replay delivers the identical event sequence,
+ * results are bit-identical at any thread count (see DESIGN.md,
  * "Out-of-band replay at scale").
  */
 struct RunnerOptions
@@ -56,8 +56,9 @@ struct RunnerOptions
      * threads an InvariantAuditor through the replay (fatal, naming
      * the offending cycle/sequence, on the first broken trace
      * invariant) and verifies golden cycle conservation; 2 additionally
-     * re-runs multi-threaded experiments serially and fails unless
-     * every Pics is bit-identical across the two thread counts.
+     * re-runs every experiment that used the replay pool or
+     * time-parallel simulation fully serially and fails unless every
+     * Pics is bit-identical across the two runs.
      */
     unsigned audit = 0;
 
@@ -115,9 +116,10 @@ struct RunnerOptions
     TimeParallelOptions sim;
 
     /**
-     * Options from the environment: TEA_THREADS (default 1),
-     * TEA_CHUNK_EVENTS, TEA_QUEUE_CHUNKS, TEA_AUDIT (default 0, see
-     * audit above), TEA_CACHE_LOCK_TIMEOUT_MS, TEA_DECODE_THREADS and
+     * Options from the environment: TEA_THREADS (default: one worker
+     * per hardware thread), TEA_CHUNK_EVENTS, TEA_QUEUE_CHUNKS,
+     * TEA_AUDIT (default 0, see audit above),
+     * TEA_CACHE_LOCK_TIMEOUT_MS, TEA_DECODE_THREADS and
      * TEA_BATCH_FRAMES (see decodeThreads/batchFrames above), the
      * trace-cache controls TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see
      * TraceCacheOptions), and the janitor budgets
@@ -178,9 +180,11 @@ struct ExperimentResult
 std::vector<SamplerConfig> standardTechniques(Cycle period = 127);
 
 /**
- * Simulate @p workload with @p techniques and the golden reference.
- * Dispatches on opts.threads: 1 = serial in-process observers, > 1 =
- * parallel out-of-band replay (identical results either way).
+ * Run @p workload with @p techniques and the golden reference: the one
+ * experiment flow. The trace comes from a trace-cache entry (hit) or a
+ * simulation, serial or time-parallel per opts.sim (miss, stored when
+ * the cache is on); it goes to the observers inline (opts.threads <= 1)
+ * or through the replay pool. Results are identical either way.
  */
 ExperimentResult runWorkload(Workload workload,
                              std::vector<SamplerConfig> techniques,
@@ -193,7 +197,7 @@ ExperimentResult runBenchmark(const std::string &name,
                               const RunnerOptions &opts = RunnerOptions{},
                               const CoreConfig &cfg = CoreConfig{});
 
-/** Compatibility overloads: custom core config, default run options. */
+/** Conveniences: custom core config, default run options. */
 ExperimentResult runWorkload(Workload workload,
                              std::vector<SamplerConfig> techniques,
                              const CoreConfig &cfg);

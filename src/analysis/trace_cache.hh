@@ -97,13 +97,6 @@ class TraceCache
                                                std::uint64_t fp,
                                                CacheOpStats *ops) const;
 
-    /** Convenience overload that discards the operation counters. */
-    std::unique_ptr<MappedTraceFile>
-    openEntry(const std::string &path, std::uint64_t fp) const
-    {
-        return openEntry(path, fp, nullptr);
-    }
-
     /**
      * Move the damaged entry at @p path into <dir>/quarantine/ under a
      * unique name, next to a .reason file recording @p reason, so it

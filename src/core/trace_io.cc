@@ -21,16 +21,8 @@ namespace tea {
 namespace {
 
 // Fault-injection seams, one per syscall that can fail in the wild
-// (see DESIGN.md, "Failure model and recovery"). The TraceWriter seams
-// sit on fatal paths by design (an explicit trace dump must never be
-// silently truncated); the CompactTraceWriter/MappedTraceFile seams
-// are on the best-effort cache paths, which degrade or retry instead.
-Failpoint fpWriterOpen("trace_io.writer_open", EIO);
-Failpoint fpWriterWrite("trace_io.writer_write", ENOSPC);
-Failpoint fpWriterFlush("trace_io.writer_flush", ENOSPC);
-Failpoint fpWriterClose("trace_io.writer_close", EIO);
-Failpoint fpReplayOpen("trace_io.replay_open", EIO);
-Failpoint fpReplayRead("trace_io.replay_read", EIO);
+// (see DESIGN.md, "Failure model and recovery"). Every one sits on a
+// best-effort path, which degrades or retries instead of dying.
 Failpoint fpTmpOpen("trace_io.tmp_open", EIO);
 Failpoint fpReserve("trace_io.reserve", ENOSPC);
 Failpoint fpWriteChunk("trace_io.write_chunk", ENOSPC);
@@ -41,238 +33,6 @@ Failpoint fpRename("trace_io.rename", EIO);
 Failpoint fpDirFsync("trace_io.dir_fsync", EIO);
 Failpoint fpMapOpen("trace_io.map_open", EIO);
 Failpoint fpMmap("trace_io.mmap", EIO);
-
-// Event tags.
-constexpr std::uint8_t tagCycle = 'C';
-constexpr std::uint8_t tagDispatch = 'D';
-constexpr std::uint8_t tagFetch = 'F';
-constexpr std::uint8_t tagRetire = 'R';
-constexpr std::uint8_t tagEnd = 'E';
-
-/** On-disk cycle record (fixed-width, packed by construction). */
-struct DiskCycle
-{
-    std::uint64_t cycle;
-    std::uint8_t state;
-    std::uint8_t numCommitted;
-    std::uint8_t headValid;
-    std::uint8_t lastValid;
-    std::uint32_t headPc;
-    std::uint64_t headSeq;
-    std::uint32_t lastPc;
-    std::uint16_t lastPsv;
-};
-
-struct DiskUop
-{
-    std::uint64_t seq;
-    std::uint64_t cycle;
-    std::uint32_t pc;
-    std::uint16_t psv; // retire only
-};
-
-struct DiskCommitted
-{
-    std::uint64_t seq;
-    std::uint32_t pc;
-    std::uint16_t psv;
-};
-
-} // namespace
-
-TraceWriter::TraceWriter(const std::string &path) : path_(path)
-{
-    file_ = std::fopen(path.c_str(), "wb");
-    if (file_ && TEA_FAILPOINT(fpWriterOpen)) {
-        std::fclose(file_); // tea_lint: allow(unchecked-io)
-        std::remove(path.c_str()); // tea_lint: allow(unchecked-io)
-        file_ = nullptr;
-        errno = fpWriterOpen.failErrno();
-    }
-    if (!file_)
-        tea_fatal("cannot open trace file '%s' for writing",
-                  path.c_str());
-}
-
-TraceWriter::~TraceWriter()
-{
-    close();
-}
-
-void
-TraceWriter::close()
-{
-    if (!file_)
-        return;
-    // fwrite() is buffered, so a full disk often only surfaces at
-    // flush/close time; losing the tail of a trace silently would
-    // invalidate every analysis replayed from it.
-    std::FILE *f = file_;
-    file_ = nullptr;
-    if (std::fflush(f) != 0 || std::ferror(f) ||
-        TEA_FAILPOINT(fpWriterFlush)) {
-        // Already on the fatal path; the close result adds nothing.
-        std::fclose(f); // tea_lint: allow(unchecked-io)
-        tea_fatal("error flushing trace file '%s' (disk full?)",
-                  path_.c_str());
-    }
-    if (std::fclose(f) != 0 || TEA_FAILPOINT(fpWriterClose))
-        tea_fatal("error closing trace file '%s'", path_.c_str());
-}
-
-void
-TraceWriter::put(const void *data, std::size_t bytes)
-{
-    tea_assert(file_, "trace file '%s' already closed", path_.c_str());
-    if (std::fwrite(data, 1, bytes, file_) != bytes ||
-        TEA_FAILPOINT(fpWriterWrite))
-        tea_fatal("short write to trace file '%s' (disk full?)",
-                  path_.c_str());
-}
-
-void
-TraceWriter::onCycle(const CycleRecord &rec)
-{
-    put(&tagCycle, 1);
-    DiskCycle d{rec.cycle,
-                static_cast<std::uint8_t>(rec.state),
-                rec.numCommitted,
-                static_cast<std::uint8_t>(rec.headValid),
-                static_cast<std::uint8_t>(rec.lastValid),
-                rec.headPc,
-                rec.headSeq,
-                rec.lastPc,
-                rec.lastPsv.bits()};
-    put(&d, sizeof(d));
-    for (unsigned i = 0; i < rec.numCommitted; ++i) {
-        DiskCommitted c{rec.committed[i].seq, rec.committed[i].pc,
-                        rec.committed[i].psv.bits()};
-        put(&c, sizeof(c));
-    }
-    ++events_;
-}
-
-void
-TraceWriter::onDispatch(const UopRecord &rec)
-{
-    put(&tagDispatch, 1);
-    DiskUop d{rec.seq, rec.cycle, rec.pc, 0};
-    put(&d, sizeof(d));
-    ++events_;
-}
-
-void
-TraceWriter::onFetch(const UopRecord &rec)
-{
-    put(&tagFetch, 1);
-    DiskUop d{rec.seq, rec.cycle, rec.pc, 0};
-    put(&d, sizeof(d));
-    ++events_;
-}
-
-void
-TraceWriter::onRetire(const RetireRecord &rec)
-{
-    put(&tagRetire, 1);
-    DiskUop d{rec.seq, rec.cycle, rec.pc, rec.psv.bits()};
-    put(&d, sizeof(d));
-    ++events_;
-}
-
-void
-TraceWriter::onEnd(Cycle final_cycle)
-{
-    put(&tagEnd, 1);
-    put(&final_cycle, sizeof(final_cycle));
-    ++events_;
-    close();
-}
-
-Cycle
-replayTrace(const std::string &path,
-            const std::vector<TraceSink *> &sinks)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f && TEA_FAILPOINT(fpReplayOpen)) {
-        std::fclose(f); // tea_lint: allow(unchecked-io)
-        f = nullptr;
-        errno = fpReplayOpen.failErrno();
-    }
-    if (!f)
-        tea_fatal("cannot open trace file '%s'", path.c_str());
-
-    auto get = [&](void *data, std::size_t bytes) {
-        if (std::fread(data, 1, bytes, f) != bytes ||
-            TEA_FAILPOINT(fpReplayRead))
-            tea_fatal("truncated trace file '%s'", path.c_str());
-    };
-
-    Cycle cycles = 0;
-    std::uint8_t tag = 0;
-    while (std::fread(&tag, 1, 1, f) == 1) {
-        switch (tag) {
-          case tagCycle: {
-            DiskCycle d{};
-            get(&d, sizeof(d));
-            CycleRecord rec;
-            rec.cycle = d.cycle;
-            rec.state = static_cast<CommitState>(d.state);
-            rec.numCommitted = d.numCommitted;
-            rec.headValid = d.headValid;
-            rec.headPc = d.headPc;
-            rec.headSeq = d.headSeq;
-            rec.lastValid = d.lastValid;
-            rec.lastPc = d.lastPc;
-            rec.lastPsv = Psv(d.lastPsv);
-            for (unsigned i = 0; i < rec.numCommitted; ++i) {
-                DiskCommitted c{};
-                get(&c, sizeof(c));
-                rec.committed[i] = CommittedUop{c.seq, c.pc, Psv(c.psv)};
-            }
-            ++cycles;
-            for (TraceSink *s : sinks)
-                s->onCycle(rec);
-            break;
-          }
-          case tagDispatch:
-          case tagFetch: {
-            DiskUop d{};
-            get(&d, sizeof(d));
-            UopRecord rec{d.seq, d.pc, d.cycle};
-            for (TraceSink *s : sinks) {
-                if (tag == tagDispatch)
-                    s->onDispatch(rec);
-                else
-                    s->onFetch(rec);
-            }
-            break;
-          }
-          case tagRetire: {
-            DiskUop d{};
-            get(&d, sizeof(d));
-            RetireRecord rec{d.seq, d.pc, Psv(d.psv), d.cycle};
-            for (TraceSink *s : sinks)
-                s->onRetire(rec);
-            break;
-          }
-          case tagEnd: {
-            Cycle final_cycle = 0;
-            get(&final_cycle, sizeof(final_cycle));
-            for (TraceSink *s : sinks)
-                s->onEnd(final_cycle);
-            break;
-          }
-          default:
-            tea_fatal("corrupt trace file '%s': bad tag %u",
-                      path.c_str(), tag);
-        }
-    }
-    // Read-only stream: nothing buffered to lose at this point.
-    std::fclose(f); // tea_lint: allow(unchecked-io)
-    return cycles;
-}
-
-namespace {
 
 /**
  * On-disk file header of the compact trace-cache format. The CoreStats
@@ -646,7 +406,6 @@ MappedTraceFile::open(const std::string &path,
     f->chunkCount_ = chunks;
     f->eventCount_ = events;
     f->cycleCount_ = cycles;
-    f->rewind();
     return f;
 }
 

@@ -1,20 +1,16 @@
 /**
  * @file
- * Cycle-trace serialization (the TraceDoctor role in the paper's §4):
- * dump the full cycle-by-cycle trace of one simulation to a binary file
- * and replay it later through any set of TraceSinks. This is what lets
- * many analysis configurations be evaluated out-of-band from a single
- * simulation run.
+ * Cycle-trace persistence (the TraceDoctor role in the paper's §4):
+ * store the full cycle-by-cycle trace of one simulation and replay it
+ * later through any set of TraceSinks. This is what lets many analysis
+ * configurations be evaluated out-of-band from a single simulation run.
  *
- * Two formats live here:
- *  - TraceWriter/replayTrace: the original tagged fixed-width stream
- *    (simple, appendable, fatal on I/O error — for explicit dumps).
- *  - CompactTraceWriter/MappedTraceFile: the trace-cache format — a
- *    validated header plus CoreStats snapshot plus compact SoA chunk
- *    frames (core/trace_codec), published by atomic rename and read
- *    back zero-copy through mmap. Cache writes are best-effort (warn,
- *    never fatal): the experiment's results are computed in memory, so
- *    a full disk must not kill the run, only the cache entry.
+ * One on-disk format: a validated header plus CoreStats snapshot plus
+ * compact SoA chunk frames (core/trace_codec), written by
+ * CompactTraceWriter, published by atomic rename, and read back
+ * zero-copy through mmap by MappedTraceFile. Writes are best-effort
+ * (warn, never fatal): the experiment's results are computed in
+ * memory, so a full disk must not kill the run, only the file.
  */
 
 #ifndef TEA_CORE_TRACE_IO_HH
@@ -27,54 +23,10 @@
 
 #include "common/retry.hh"
 #include "core/core.hh"
-#include "core/trace.hh"
 #include "core/trace_buffer.hh"
 #include "core/trace_codec.hh"
 
 namespace tea {
-
-/** TraceSink that streams every trace event to a binary file. */
-class TraceWriter : public TraceSink
-{
-  public:
-    /** Open @p path for writing (fatal on failure). */
-    explicit TraceWriter(const std::string &path);
-    ~TraceWriter() override;
-
-    TraceWriter(const TraceWriter &) = delete;
-    TraceWriter &operator=(const TraceWriter &) = delete;
-
-    void onCycle(const CycleRecord &rec) override;
-    void onDispatch(const UopRecord &rec) override;
-    void onFetch(const UopRecord &rec) override;
-    void onRetire(const RetireRecord &rec) override;
-    void onEnd(Cycle final_cycle) override;
-
-    /** Events written so far. */
-    std::uint64_t eventsWritten() const { return events_; }
-
-    /**
-     * Flush and close the file (also done by the destructor). Fatal if
-     * the flush or close fails: buffered writes mean a full disk often
-     * only surfaces here, and a silently truncated trace would corrupt
-     * every analysis replayed from it.
-     */
-    void close();
-
-  private:
-    void put(const void *data, std::size_t bytes);
-
-    std::FILE *file_ = nullptr;
-    std::string path_;
-    std::uint64_t events_ = 0;
-};
-
-/**
- * Replay a trace file through @p sinks, delivering events in the exact
- * order the simulation produced them. @return number of replayed cycles
- */
-Cycle replayTrace(const std::string &path,
-                  const std::vector<TraceSink *> &sinks);
 
 /**
  * Streaming writer of the compact chunked trace-cache format.
@@ -200,9 +152,6 @@ class MappedTraceFile
 
     /** Size of the mapped file in bytes. */
     std::uint64_t fileBytes() const { return size_; }
-
-    /** Reset the chunk cursor to the first chunk. */
-    void rewind() { nextFrame_ = 0; }
 
     /**
      * Decode and return the next chunk, or nullptr after the last one.

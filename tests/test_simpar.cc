@@ -187,7 +187,8 @@ parallelRun(const std::string &name, const TimeParallelOptions &opts,
     CoreConfig cfg;
     CoreStats st;
     SimPerf pf;
-    TimeParallelStats tp = simulateTimeParallel(cfg, w.program, w.initial,
+    TimeParallelStats tp = simulateTimeParallel(cfg, w.program,
+                                                std::move(w.initial),
                                                 opts, sinks, &st, &pf);
     if (stats_out)
         *stats_out = st;
@@ -435,6 +436,24 @@ TEST_F(VerifyMode, OraclePasses)
     EXPECT_TRUE(tp.usedParallel);
     EXPECT_GT(count.events, 0u);
     EXPECT_EQ(count.events, perf.traceEvents);
+}
+
+/**
+ * TEA_AUDIT=2 cross-checks a time-parallel simulation against a fully
+ * serial run even when the observers run inline (threads = 1). The
+ * check fatals on any Pics difference, so surviving the call is the
+ * assertion.
+ */
+TEST_F(VerifyMode, AuditCrossChecksInlineTimeParallelRun)
+{
+    RunnerOptions o;
+    o.threads = 1;
+    o.audit = 2;
+    o.sim = parallelOptions(2);
+    const ExperimentResult res = runWorkload(workloads::byName("exchange2"),
+                                             standardTechniques(), o);
+    EXPECT_FALSE(res.failed());
+    EXPECT_TRUE(res.replay.simParallel);
 }
 
 /** Failure paths of the worker/stitcher hand-off. */

@@ -10,10 +10,10 @@ Seven rules, each enforcing an invariant the compiler cannot:
 
   unchecked-io       In src/core/trace_io.cc every stdio/syscall result
                      (fwrite/fflush/fseek/fclose/fsync/rename/remove)
-                     must be consumed: TraceWriter and CompactTraceWriter
-                     error paths fatal-or-propagate, never drop. Suppress
-                     a deliberately ignored result (e.g. cleanup on an
-                     already-failed path) with
+                     must be consumed: CompactTraceWriter and
+                     MappedTraceFile error paths degrade or propagate,
+                     never drop. Suppress a deliberately ignored result
+                     (e.g. cleanup on an already-failed path) with
                      `tea_lint: allow(unchecked-io)`.
 
   codec-version-lock src/core/trace_codec.cc must pin its frame layout
@@ -212,7 +212,7 @@ class Linter:
                 continue
             self.violate(path, lineno, "unchecked-io",
                          f"result of {m.group(1)}() discarded: trace "
-                         "writer error paths must fatal or propagate "
+                         "writer error paths must degrade or propagate "
                          "(annotate `tea_lint: allow(unchecked-io)` "
                          "when ignoring is deliberate)")
 
