@@ -370,7 +370,6 @@ measureSimulator()
         CoreConfig cfg;
         TimeParallelOptions opts;
         opts.threads = simThreads;
-        opts.mode = SimParallelMode::On;
         ChunkingSink sink(4096, [](TraceChunkPtr) {});
         CoreStats st;
         SimPerf pf;

@@ -4,17 +4,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "analysis/audit.hh"
 #include "analysis/cache_janitor.hh"
 #include "analysis/trace_cache.hh"
 #include "common/chunk_queue.hh"
+#include "common/env.hh"
 #include "common/failpoint.hh"
 #include "common/file_lock.hh"
 #include "common/logging.hh"
-#include "common/sync.hh"
 #include "core/trace_io.hh"
 
 namespace tea {
@@ -39,199 +38,22 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** Environment unsigned with a default (fatal on garbage). */
-unsigned long long
-envCount(const char *name, unsigned long long dflt)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return dflt;
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end)
-        tea_fatal("%s must be a non-negative integer, got '%s'", name, v);
-    return n;
-}
-
-/**
- * Decode the frames of a mapped trace-cache entry in parallel and hand
- * the chunks to @p deliver in file order.
- *
- * Workers claim frame indices through an atomic cursor and decode them
- * with private ChunkDecoders (frames are self-contained; the mapping is
- * immutable), parking finished chunks in a bounded reorder ring. The
- * calling thread drains the ring strictly in order, so observers see
- * the exact chunk sequence a serial nextChunk() loop would produce —
- * bit-identical results at any thread count. The ring holds at most
- * batch_frames chunks per worker; a worker that runs that far ahead of
- * the in-order handoff blocks until the gap closes.
- *
- * A worker-side failure (decodeFrame panics on anything the open-time
- * validation scan could miss, so this is belt-and-braces for e.g.
- * bad_alloc) is contained: the slot is published empty, every thread is
- * woken, and the first error is rethrown on the calling thread after
- * the join. If @p deliver throws (observer death, an injected queue
- * fault), the workers are unparked and joined before the exception
- * propagates — destroying a joinable thread would terminate the
- * process.
- *
- * @return wall time spent inside decodeFrame, summed across workers
- */
-double
-pumpFramesParallel(const MappedTraceFile &mapped, unsigned decode_threads,
-                   std::size_t batch_frames,
-                   const std::function<void(TraceChunkPtr)> &deliver)
-{
-    const std::size_t frames = mapped.frameCount();
-    const unsigned workers = static_cast<unsigned>(std::max<std::size_t>(
-        1, std::min<std::size_t>(decode_threads, frames)));
-    const std::size_t window =
-        std::max<std::size_t>(1, batch_frames) * workers;
-
-    struct Slot
-    {
-        TraceChunkPtr chunk;
-        bool ready = false;
-    };
-    // Shared pump state lives in a struct (not loose locals) so every
-    // guarded field can carry its TEA_GUARDED_BY annotation and the
-    // thread-safety analysis proves the reorder-ring protocol.
-    struct Shared
-    {
-        explicit Shared(std::size_t slots) : ring(slots) {}
-
-        Mutex mu;
-        CondVar ringFreed;  // consumer advanced `base`
-        CondVar slotFilled; // a worker published a slot
-        std::vector<Slot> ring TEA_GUARDED_BY(mu);
-        /** next frame index to hand to deliver() */
-        std::size_t base TEA_GUARDED_BY(mu) = 0;
-        /** deliver() threw; unpark everything */
-        bool aborted TEA_GUARDED_BY(mu) = false;
-        std::string firstError TEA_GUARDED_BY(mu);
-    };
-    Shared st(std::min(window, std::max<std::size_t>(frames, 1)));
-    std::atomic<std::size_t> next{0};
-    std::vector<double> decodeSeconds(workers, 0.0);
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            ChunkDecoder decoder;
-            for (;;) {
-                // relaxed: the cursor only partitions frame indices
-                // among workers; each claimed frame is immutable mapped
-                // memory, so no payload rides on this counter.
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= frames)
-                    return;
-                TraceChunkPtr chunk;
-                try {
-                    const auto t0 = Clock::now();
-                    chunk = mapped.decodeFrame(i, decoder);
-                    decodeSeconds[w] += secondsSince(t0);
-                } catch (const std::exception &e) {
-                    MutexLock g(st.mu);
-                    if (st.firstError.empty())
-                        st.firstError = e.what();
-                } catch (...) {
-                    MutexLock g(st.mu);
-                    if (st.firstError.empty())
-                        st.firstError =
-                            "unknown exception in decode worker";
-                }
-                MutexLock lock(st.mu);
-                while (!st.aborted && i - st.base >= st.ring.size())
-                    st.ringFreed.wait(st.mu);
-                if (st.aborted)
-                    return;
-                Slot &s = st.ring[i % st.ring.size()];
-                s.chunk = std::move(chunk); // null on worker failure
-                s.ready = true;
-                st.slotFilled.notify_all();
-            }
-        });
-    }
-
-    auto joinAll = [&] {
-        {
-            MutexLock g(st.mu);
-            st.aborted = true;
-            st.ringFreed.notify_all();
-        }
-        for (std::thread &t : pool)
-            t.join();
-    };
-
-    try {
-        for (std::size_t i = 0; i < frames; ++i) {
-            TraceChunkPtr chunk;
-            {
-                MutexLock lock(st.mu);
-                Slot &s = st.ring[i % st.ring.size()];
-                while (!s.ready)
-                    st.slotFilled.wait(st.mu);
-                chunk = std::move(s.chunk);
-                s.ready = false;
-                ++st.base;
-                st.ringFreed.notify_all();
-                if (!chunk && !st.firstError.empty())
-                    break; // a decode worker died; join and rethrow
-            }
-            if (chunk)
-                deliver(std::move(chunk));
-        }
-    } catch (...) {
-        joinAll();
-        throw;
-    }
-    joinAll();
-    {
-        // Workers are joined; the lock satisfies the static analysis,
-        // which cannot see the join's happens-before edge.
-        MutexLock g(st.mu);
-        if (!st.firstError.empty())
-            throw ExperimentFailure(strprintf(
-                "parallel frame decode: %s", st.firstError.c_str()));
-    }
-
-    double total = 0.0;
-    for (double s : decodeSeconds)
-        total += s;
-    return total;
-}
-
 } // namespace
 
 RunnerOptions
 RunnerOptions::fromEnv()
 {
     RunnerOptions opts;
-    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     // Default: one replay worker per hardware thread (results are
     // identical at any thread count, so this is purely a speed knob).
-    auto threads =
-        static_cast<unsigned>(envCount("TEA_THREADS", hw));
+    const auto threads = envUnsigned<unsigned>("TEA_THREADS", hw);
     opts.threads = threads == 0 ? hw : threads;
-    opts.chunkEvents = static_cast<std::size_t>(
-        envCount("TEA_CHUNK_EVENTS", opts.chunkEvents));
-    opts.queueChunks = static_cast<std::size_t>(
-        envCount("TEA_QUEUE_CHUNKS", opts.queueChunks));
-    tea_assert(opts.chunkEvents >= 1, "TEA_CHUNK_EVENTS must be >= 1");
-    tea_assert(opts.queueChunks >= 1, "TEA_QUEUE_CHUNKS must be >= 1");
-    opts.audit = static_cast<unsigned>(envCount("TEA_AUDIT", 0));
+    opts.audit = envUnsigned<unsigned>("TEA_AUDIT", 0);
     opts.cache = TraceCacheOptions::fromEnv();
     opts.janitor = JanitorConfig::fromEnv();
-    opts.cacheLockTimeoutMs = static_cast<unsigned>(envCount(
-        "TEA_CACHE_LOCK_TIMEOUT_MS", opts.cacheLockTimeoutMs));
-    auto dthreads = static_cast<unsigned>(
-        envCount("TEA_DECODE_THREADS", opts.decodeThreads));
-    opts.decodeThreads = dthreads == 0 ? hw : dthreads;
-    opts.batchFrames = static_cast<std::size_t>(
-        envCount("TEA_BATCH_FRAMES", opts.batchFrames));
-    tea_assert(opts.batchFrames >= 1, "TEA_BATCH_FRAMES must be >= 1");
+    opts.cacheLockTimeoutMs = envUnsigned<unsigned>(
+        "TEA_CACHE_LOCK_TIMEOUT_MS", opts.cacheLockTimeoutMs);
     opts.sim = TimeParallelOptions::fromEnv();
     return opts;
 }
@@ -340,22 +162,17 @@ namespace {
 
 /**
  * Source of a cache hit: decode every frame of @p mapped into
- * @p deliver, in file order — the one place that picks the parallel
- * frame decoders or the single in-producer decoder. The single decoder
- * keeps exactly one chunk in flight when the consumer is inline, so
- * nextChunk() recycles one warm output buffer (measured: batching
- * serial decodes cost ~20%).
+ * @p deliver, in file order. Exactly one chunk is in flight when the
+ * consumer is inline, so nextChunk() recycles one warm output buffer
+ * (measured: batching serial decodes cost ~20%); the pool holds up to
+ * queueChunks chunks, and nextChunk()'s storage ring grows to match.
  *
  * @return seconds spent in the decode calls only, so observer time and
  *         backpressure against the pool never count as decode work
  */
 double
-decodeEntry(MappedTraceFile &mapped, const RunnerOptions &opts,
-            const ChunkPush &deliver)
+decodeEntry(MappedTraceFile &mapped, const ChunkPush &deliver)
 {
-    if (opts.decodeThreads > 1)
-        return pumpFramesParallel(mapped, opts.decodeThreads,
-                                  opts.batchFrames, deliver);
     double seconds = 0.0;
     for (;;) {
         const auto t0 = Clock::now();
@@ -526,7 +343,7 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
     auto produce = [&](const std::vector<TraceSink *> *live,
                        const ChunkPush &push) {
         if (hit) {
-            decodeSeconds = decodeEntry(*hit, opts, push);
+            decodeSeconds = decodeEntry(*hit, push);
             return;
         }
         std::vector<TraceSink *> sinks;
@@ -637,7 +454,7 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
         serial.threads = 1;
         serial.audit = 1;
         serial.cache.enabled = false;
-        serial.sim.mode = SimParallelMode::Off;
+        serial.sim.threads = 1;
         const ExperimentResult ref =
             runWorkload(std::move(*pristine), techniques, serial, cfg);
         std::string what = "golden";

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/failpoint.hh"
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
@@ -65,20 +66,6 @@ constexpr std::size_t kHandoffChunks = 8;
 // it drains (interval 0's hand-off, then each decoded frame).
 Failpoint fpWorker("sim.worker", EIO);
 Failpoint fpStitch("sim.stitch", EIO);
-
-/** Environment unsigned with a default (fatal on garbage). */
-std::uint64_t
-envU64(const char *name, std::uint64_t dflt)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return dflt;
-    char *end = nullptr;
-    const std::uint64_t n = std::strtoull(v, &end, 10);
-    if (end == v || *end)
-        tea_fatal("%s must be a non-negative integer, got '%s'", name, v);
-    return n;
-}
 
 /** The cycle stamp a sink would observe on @p ev. */
 Cycle
@@ -277,32 +264,6 @@ class LegSink final : public TraceSink
   private:
     Route route_;
 };
-
-/**
- * Deliver @p n consecutive absolute-coordinate events to @p sinks the
- * way the core does: onBatch for every run of non-End events, a
- * dedicated onEnd per End marker (the replayChunk contract).
- */
-void
-deliverRange(const TraceEvent *evs, std::size_t n,
-             const std::vector<TraceSink *> &sinks)
-{
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t j = i;
-        while (j < n && evs[j].kind != TraceEventKind::End)
-            ++j;
-        if (j > i)
-            for (TraceSink *sink : sinks)
-                sink->onBatch(evs + i, j - i);
-        if (j < n) {
-            for (TraceSink *sink : sinks)
-                sink->onEnd(evs[j].p.end);
-            ++j;
-        }
-        i = j;
-    }
-}
 
 /** A parked simulation: a live Core plus its sink and the
  *  local-to-absolute identity of its coordinate system. */
@@ -733,7 +694,7 @@ deliverChunk(StitchState &st, TraceChunk &c, std::int64_t dcycle,
     if (dcycle != 0 || dseq != 0)
         for (TraceEvent &ev : evs)
             rebaseEvent(ev, dcycle, dseq);
-    deliverRange(evs.data(), evs.size(), st.sinks);
+    replayEvents(evs.data(), evs.size(), st.sinks);
 
     TailFrame f;
     f.events = evs.size();
@@ -1124,23 +1085,19 @@ runTimeParallel(const CoreConfig &cfg, const Program &prog,
                 TimeParallelStats *tp)
 {
     // Resolve the interval geometry from the run's functional length
-    // (a plain execute walk, a few percent of the checkpoint pre-pass).
-    // An explicit TEA_SIM_INTERVAL is taken as-is; otherwise one
-    // interval per worker, floored so the warmup prefix stays a
+    // (a plain execute walk, a few percent of the checkpoint pre-pass):
+    // one interval per worker, floored so the warmup prefix stays a
     // fraction of the interval.
     constexpr std::uint64_t kPrePassBudget = 1ULL << 33;
     const std::uint64_t total = countUopsToHalt(prog, initial, kPrePassBudget);
     if (total == 0)
         return false; // does not halt in budget; serial owns it
-    std::uint64_t warmup = std::max<std::uint64_t>(1, opts.warmupUops);
-    std::uint64_t interval = opts.intervalUops;
-    if (interval == 0)
-        interval = std::max<std::uint64_t>(2 * warmup,
-                                           (total + threads - 1) / threads);
-    if (interval < 2)
-        return false;
-    if (warmup >= interval)
-        warmup = interval / 2; // >= 1 because interval >= 2
+    // Clamped to the run so 2 * warmup cannot wrap; a warmup that long
+    // leaves a single interval, which stays serial below.
+    const std::uint64_t warmup =
+        std::clamp<std::uint64_t>(opts.warmupUops, 1, total);
+    const std::uint64_t interval = std::max<std::uint64_t>(
+        2 * warmup, (total + threads - 1) / threads);
     const std::uint64_t K = (total + interval - 1) / interval;
     if (K < 2)
         return false;
@@ -1262,19 +1219,15 @@ TimeParallelOptions
 TimeParallelOptions::fromEnv()
 {
     TimeParallelOptions o;
-    o.threads = static_cast<unsigned>(envU64("TEA_SIM_THREADS", o.threads));
-    o.intervalUops = envU64("TEA_SIM_INTERVAL", o.intervalUops);
-    o.warmupUops = envU64("TEA_SIM_WARMUP", o.warmupUops);
-    if (const char *mode = std::getenv("TEA_SIM_PARALLEL")) {
-        if (!std::strcmp(mode, "off") || !std::strcmp(mode, "0"))
-            o.mode = SimParallelMode::Off;
-        else if (!std::strcmp(mode, "on") || !std::strcmp(mode, "1"))
-            o.mode = SimParallelMode::On;
-        else if (!std::strcmp(mode, "verify"))
-            o.mode = SimParallelMode::Verify;
-        else
-            tea_fatal("TEA_SIM_PARALLEL must be off|on|verify, got '%s'",
+    o.threads = envUnsigned("TEA_SIM_THREADS", o.threads);
+    o.warmupUops = envUnsigned("TEA_SIM_WARMUP", o.warmupUops);
+    if (const char *mode = std::getenv("TEA_SIM_PARALLEL"); mode && *mode) {
+        if (std::strcmp(mode, "verify") != 0)
+            tea_fatal("TEA_SIM_PARALLEL accepts only 'verify', got '%s' "
+                      "(TEA_SIM_THREADS=N turns time-parallel simulation "
+                      "on, 1 keeps it off)",
                       mode);
+        o.verify = true;
     }
     return o;
 }
@@ -1304,7 +1257,7 @@ simulateTimeParallel(const CoreConfig &cfg, const Program &prog,
         return tp;
     }
 
-    if (opts.mode != SimParallelMode::Verify) {
+    if (!opts.verify) {
         if (!runTimeParallel(cfg, prog, initial, opts, threads, sinks,
                              stats_out, perf_out, &tp))
             runSerialReference(cfg, prog, std::move(initial), sinks,

@@ -45,14 +45,6 @@
 
 namespace tea {
 
-/** TEA_SIM_PARALLEL values. */
-enum class SimParallelMode
-{
-    Off,    ///< always simulate serially
-    On,     ///< time-parallel when threads > 1 and the plan is usable
-    Verify, ///< time-parallel, then re-run serially and fatal on divergence
-};
-
 /** Knobs of one time-parallel simulation (all env-overridable). */
 struct TimeParallelOptions
 {
@@ -60,33 +52,28 @@ struct TimeParallelOptions
      * Worker threads (TEA_SIM_THREADS). 1 (the default) simulates
      * serially; 0 means one per hardware thread. More threads add
      * about one warmup leg of verbatim events per worker to the
-     * codec-frame buffers, never a per-event copy of the run.
+     * codec-frame buffers, never a per-event copy of the run. The
+     * interval length follows from the run's functional length: one
+     * interval per worker, at least twice the warmup prefix.
      */
     unsigned threads = 1;
-
-    /**
-     * Interval length in committed micro-ops (TEA_SIM_INTERVAL).
-     * 0 (default) auto-sizes to spread the run across the workers.
-     * Micro-ops, not cycles, so the pre-pass can place checkpoints
-     * without a timing model; at IPC near 1 the two coincide.
-     */
-    std::uint64_t intervalUops = 0;
 
     /** Warmup prefix per interval in micro-ops (TEA_SIM_WARMUP). */
     std::uint64_t warmupUops = 16384;
 
-    /** TEA_SIM_PARALLEL (off / on / verify). */
-    SimParallelMode mode = SimParallelMode::On;
+    /**
+     * Differential oracle (TEA_SIM_PARALLEL=verify): after a
+     * time-parallel run, re-run serially and fatal on any divergence
+     * of the stitched stream or stats.
+     */
+    bool verify = false;
 
-    /** Read TEA_SIM_THREADS / TEA_SIM_INTERVAL / TEA_SIM_WARMUP /
-     *  TEA_SIM_PARALLEL over the defaults above. */
+    /** Read TEA_SIM_THREADS / TEA_SIM_WARMUP / TEA_SIM_PARALLEL over
+     *  the defaults above. */
     static TimeParallelOptions fromEnv();
 
     /** True when these options ask for time-parallel simulation. */
-    bool wantsParallel() const
-    {
-        return mode != SimParallelMode::Off && threads != 1;
-    }
+    bool wantsParallel() const { return threads != 1; }
 };
 
 /** Observability counters of one simulateTimeParallel call. */

@@ -88,25 +88,6 @@ struct RunnerOptions
     unsigned cacheLockTimeoutMs = 5000;
 
     /**
-     * Warm-hit frame-decode parallelism: threads decoding chunk frames
-     * out of a mapped trace-cache entry concurrently. Frames are
-     * self-contained (MappedTraceFile::decodeFrame), and the pump
-     * hands chunks to the observers in file order regardless of which
-     * thread decoded them, so results are bit-identical at any
-     * setting. 1 decodes inline in the producer (the default and the
-     * historical behaviour).
-     */
-    unsigned decodeThreads = 1;
-
-    /**
-     * Decode-ahead bound, in frames per decode thread: how far
-     * out-of-order frame decodes may run ahead of the in-order handoff
-     * before backpressure pauses them. Larger windows ride out uneven
-     * frame decode times at the cost of more chunks held in memory.
-     */
-    std::size_t batchFrames = 4;
-
-    /**
      * Time-parallel simulation of cache misses (analysis/parallel_sim):
      * when sim.threads > 1, a cold simulate splits the run into
      * checkpointed intervals simulated concurrently and stitched back
@@ -117,17 +98,14 @@ struct RunnerOptions
 
     /**
      * Options from the environment: TEA_THREADS (default: one worker
-     * per hardware thread), TEA_CHUNK_EVENTS, TEA_QUEUE_CHUNKS,
-     * TEA_AUDIT (default 0, see audit above),
-     * TEA_CACHE_LOCK_TIMEOUT_MS, TEA_DECODE_THREADS and
-     * TEA_BATCH_FRAMES (see decodeThreads/batchFrames above), the
-     * trace-cache controls TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see
-     * TraceCacheOptions), and the janitor budgets
-     * TEA_TRACE_CACHE_MAX_BYTES etc. (see JanitorConfig::fromEnv).
-     * TEA_THREADS=0 and TEA_DECODE_THREADS=0 mean "one worker per
-     * hardware thread". The time-parallel simulation knobs
-     * TEA_SIM_THREADS / TEA_SIM_INTERVAL / TEA_SIM_WARMUP /
-     * TEA_SIM_PARALLEL load via TimeParallelOptions::fromEnv.
+     * per hardware thread; 0 means the same), TEA_AUDIT (default 0,
+     * see audit above), TEA_CACHE_LOCK_TIMEOUT_MS, the trace-cache
+     * controls TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see
+     * TraceCacheOptions), the janitor budgets TEA_TRACE_CACHE_MAX_BYTES
+     * etc. (see JanitorConfig::fromEnv) and the time-parallel knobs
+     * TEA_SIM_THREADS / TEA_SIM_WARMUP / TEA_SIM_PARALLEL (see
+     * TimeParallelOptions::fromEnv). chunkEvents and queueChunks keep
+     * their defaults. README.md tabulates every knob.
      */
     static RunnerOptions fromEnv();
 };

@@ -78,8 +78,9 @@ deliverEvent(const TraceEvent &ev, TraceSink &sink)
     }
 }
 
-std::uint64_t
-replayChunk(const TraceChunk &chunk, const std::vector<TraceSink *> &sinks)
+void
+replayEvents(const TraceEvent *ev, std::size_t n,
+             const std::vector<TraceSink *> &sinks)
 {
     // Sink-major batched delivery: one onBatch call per sink per
     // End-free segment, instead of two virtual calls per (event, sink)
@@ -89,8 +90,6 @@ replayChunk(const TraceChunk &chunk, const std::vector<TraceSink *> &sinks)
     // dedicated onEnd call (the onBatch contract, core/trace.hh);
     // ChunkingSink closes a chunk right after End, so the scan below
     // almost always finds a single End-free segment.
-    const TraceEvent *const ev = chunk.events.data();
-    const std::size_t n = chunk.events.size();
     std::size_t i = 0;
     while (i < n) {
         std::size_t j = i;
@@ -107,6 +106,12 @@ replayChunk(const TraceChunk &chunk, const std::vector<TraceSink *> &sinks)
         }
         i = j;
     }
+}
+
+std::uint64_t
+replayChunk(const TraceChunk &chunk, const std::vector<TraceSink *> &sinks)
+{
+    replayEvents(chunk.events.data(), chunk.events.size(), sinks);
     return chunk.cycleRecords;
 }
 

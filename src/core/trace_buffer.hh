@@ -80,6 +80,14 @@ bool eventsEquivalent(const TraceEvent &a, const TraceEvent &b);
 void deliverEvent(const TraceEvent &ev, TraceSink &sink);
 
 /**
+ * Deliver @p n consecutive events to @p sinks the way the core does:
+ * onBatch for every run of non-End events, a dedicated onEnd per End
+ * marker.
+ */
+void replayEvents(const TraceEvent *ev, std::size_t n,
+                  const std::vector<TraceSink *> &sinks);
+
+/**
  * Replay every event of @p chunk through @p sinks in capture order.
  * @return number of cycle records delivered
  */

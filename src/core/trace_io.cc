@@ -434,7 +434,17 @@ MappedTraceFile::nextChunk()
         scratch_.push_back(out);
         scratchNext_ = 0;
     }
-    decodeFrameInto(nextFrame_++, decoder_, *out);
+    const std::size_t offset = frameOffsets_[nextFrame_++];
+    std::size_t consumed = 0;
+    std::string why;
+    if (!decoder_.decode(base_ + offset, size_ - offset, *out, &consumed,
+                         &why)) {
+        // Every frame passed CRC validation at open(); failing to
+        // decode now means the codec itself is inconsistent.
+        tea_panic("trace cache '%s': CRC-clean frame failed to decode "
+                  "(%s)",
+                  path_.c_str(), why.c_str());
+    }
     // Software-pipeline the source bytes: start pulling the next
     // frame's encoded streams toward the cache now, so they arrive
     // while the consumer replays this chunk instead of stalling the
@@ -455,34 +465,6 @@ MappedTraceFile::nextChunk()
             __builtin_prefetch(base_ + p, 0 /*read*/, 3 /*keep*/);
     }
     return out;
-}
-
-TraceChunkPtr
-MappedTraceFile::decodeFrame(std::size_t index,
-                             ChunkDecoder &decoder) const
-{
-    auto chunk = std::make_shared<TraceChunk>();
-    decodeFrameInto(index, decoder, *chunk);
-    return chunk;
-}
-
-void
-MappedTraceFile::decodeFrameInto(std::size_t index, ChunkDecoder &decoder,
-                                 TraceChunk &out) const
-{
-    tea_assert(index < frameOffsets_.size(),
-               "frame index %zu out of range (%zu frames)", index,
-               frameOffsets_.size());
-    const std::size_t at = frameOffsets_[index];
-    std::size_t consumed = 0;
-    std::string why;
-    if (!decoder.decode(base_ + at, size_ - at, out, &consumed, &why)) {
-        // Every frame passed CRC validation at open(); failing to
-        // decode now means the codec itself is inconsistent.
-        tea_panic("trace cache '%s': CRC-clean frame failed to decode "
-                  "(%s)",
-                  path_.c_str(), why.c_str());
-    }
 }
 
 } // namespace tea

@@ -3,8 +3,6 @@
 #include "common/logging.hh"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -310,17 +308,6 @@ bool hostSupports(VarintKernel k)
 
 VarintKernel pickKernel()
 {
-    if (const char *env = std::getenv("TEA_SIMD")) {
-        if (!std::strcmp(env, "0") || !std::strcmp(env, "scalar"))
-            return VarintKernel::Scalar;
-        if (!std::strcmp(env, "sse2") && hostSupports(VarintKernel::Sse2))
-            return VarintKernel::Sse2;
-        if (!std::strcmp(env, "avx2") && hostSupports(VarintKernel::Avx2))
-            return VarintKernel::Avx2;
-        if (std::strcmp(env, "1") && std::strcmp(env, "auto"))
-            tea_warn("varint: TEA_SIMD=%s unsupported here, using auto",
-                     env);
-    }
     if (hostSupports(VarintKernel::Avx2))
         return VarintKernel::Avx2;
     if (hostSupports(VarintKernel::Sse2))

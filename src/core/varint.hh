@@ -22,10 +22,9 @@
  * tests/test_simd_codec.cc enforces this equivalence.
  *
  * Kernel selection is a process-wide runtime dispatch: the best kernel
- * the host CPU supports is picked once (overridable with TEA_SIMD=
- * scalar|sse2|avx2 or TEA_SIMD=0 for scalar), so plain, sanitizer and
- * Release builds all run the same code paths and produce the same
- * bytes.
+ * the host CPU supports is picked once (tests and benchmarks narrow it
+ * with setVarintKernel()), and plain, sanitizer and Release builds all
+ * produce the same bytes whichever kernel runs.
  */
 
 #ifndef TEA_CORE_VARINT_HH
@@ -52,7 +51,7 @@ bool varintKernelSupported(VarintKernel k);
 
 /**
  * The kernel bulk decodes currently dispatch to: the best supported
- * one, unless TEA_SIMD or setVarintKernel() narrowed the choice.
+ * one, unless setVarintKernel() narrowed the choice.
  */
 VarintKernel activeVarintKernel();
 

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
+#include "analysis/runner.hh"
 #include "common/table.hh"
 #include "core/cache.hh"
 #include "isa/builder.hh"
@@ -139,4 +143,94 @@ TEST(Robustness, ZeroIterationWorkloadsTerminate)
     CoreRun run = runCore(workloads::aluLoop(1));
     EXPECT_TRUE(run->halted());
     EXPECT_GT(run->stats().committedUops, 0u);
+}
+
+/**
+ * fromEnv() under NAME=VALUE must exit 1 naming the variable. The
+ * variable is set in the death-test child only, and nothing but
+ * fromEnv() runs there: a thread count that slipped through would
+ * never reach the simulator.
+ */
+template <typename FromEnv>
+void
+expectEnvFatal(FromEnv from_env, const char *name, const char *value)
+{
+    SCOPED_TRACE(std::string(name) + "=" + value);
+    EXPECT_EXIT(
+        {
+            ::setenv(name, value, 1);
+            from_env();
+        },
+        ::testing::ExitedWithCode(1), name);
+}
+
+/** A sign, a blank, a suffix or plain garbage ("-1" must not wrap to
+ *  the field's maximum). */
+const char *const kBadNumbers[] = {"-1", "+1", " 1", "1x", "garbage"};
+
+TEST(EnvKnobsDeath, RunnerOptionsRejectSignAndGarbage)
+{
+    for (const char *name :
+         {"TEA_THREADS", "TEA_AUDIT", "TEA_CACHE_LOCK_TIMEOUT_MS"}) {
+        for (const char *bad : kBadNumbers)
+            expectEnvFatal([] { RunnerOptions::fromEnv(); }, name, bad);
+        // One past the range of the unsigned field it fills.
+        expectEnvFatal([] { RunnerOptions::fromEnv(); }, name,
+                       "4294967296");
+    }
+}
+
+TEST(EnvKnobsDeath, TimeParallelOptionsRejectSignAndGarbage)
+{
+    for (const char *bad : kBadNumbers) {
+        expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
+                       "TEA_SIM_THREADS", bad);
+        expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
+                       "TEA_SIM_WARMUP", bad);
+    }
+    expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
+                   "TEA_SIM_THREADS", "4294967296");
+    expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
+                   "TEA_SIM_WARMUP", "18446744073709551616");
+    // threads = 1 is the off switch; the mode knob only arms the oracle.
+    for (const char *mode : {"off", "on", "0", "1"}) {
+        SCOPED_TRACE(mode);
+        EXPECT_EXIT(
+            {
+                ::setenv("TEA_SIM_PARALLEL", mode, 1);
+                TimeParallelOptions::fromEnv();
+            },
+            ::testing::ExitedWithCode(1), "TEA_SIM_THREADS");
+    }
+}
+
+TEST(EnvKnobsDeath, JanitorConfigRejectsSignAndGarbage)
+{
+    for (const char *name :
+         {"TEA_TRACE_CACHE_MAX_BYTES", "TEA_CACHE_QUARANTINE_MAX",
+          "TEA_CACHE_QUARANTINE_MAX_AGE_S", "TEA_CACHE_ORPHAN_MAX_AGE_S"}) {
+        for (const char *bad : kBadNumbers)
+            expectEnvFatal([] { JanitorConfig::fromEnv(); }, name, bad);
+        expectEnvFatal([] { JanitorConfig::fromEnv(); }, name,
+                       "18446744073709551616");
+    }
+}
+
+TEST(EnvKnobs, AcceptPlainDecimalUpToFieldRange)
+{
+    ::setenv("TEA_CACHE_LOCK_TIMEOUT_MS", "4294967295", 1);
+    ::setenv("TEA_TRACE_CACHE_MAX_BYTES", "18446744073709551615", 1);
+    ::setenv("TEA_SIM_WARMUP", "007", 1);
+    ::setenv("TEA_SIM_PARALLEL", "verify", 1);
+    ::setenv("TEA_AUDIT", "", 1); // empty = unset
+    const RunnerOptions opts = RunnerOptions::fromEnv();
+    for (const char *name :
+         {"TEA_CACHE_LOCK_TIMEOUT_MS", "TEA_TRACE_CACHE_MAX_BYTES",
+          "TEA_SIM_WARMUP", "TEA_SIM_PARALLEL", "TEA_AUDIT"})
+        ::unsetenv(name);
+    EXPECT_EQ(opts.cacheLockTimeoutMs, 4294967295u);
+    EXPECT_EQ(opts.janitor.maxBytes, 18446744073709551615ull);
+    EXPECT_EQ(opts.sim.warmupUops, 7u);
+    EXPECT_TRUE(opts.sim.verify);
+    EXPECT_EQ(opts.audit, 0u);
 }

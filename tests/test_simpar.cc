@@ -202,7 +202,6 @@ parallelOptions(unsigned threads)
 {
     TimeParallelOptions opts;
     opts.threads = threads;
-    opts.mode = SimParallelMode::On;
     return opts;
 }
 
@@ -403,15 +402,10 @@ TEST_F(Fallback, TinyWarmupRetriesAndStaysIdentical)
     cmp.expectIdentical();
 }
 
-/** Serial-equivalent opt-outs: threads=1 and mode=off take the plain
- *  path and report so. */
+/** The serial opt-out: threads=1 takes the plain path and reports so. */
 TEST_F(Fallback, SerialModesReportSerial)
 {
-    TimeParallelOptions off = parallelOptions(4);
-    off.mode = SimParallelMode::Off;
     CountingSink count;
-    EXPECT_FALSE(parallelRun("exchange2", off, {&count}).usedParallel);
-
     EXPECT_FALSE(
         parallelRun("exchange2", parallelOptions(1), {&count}).usedParallel);
 }
@@ -428,7 +422,7 @@ class VerifyMode : public BoundedRss
 TEST_F(VerifyMode, OraclePasses)
 {
     TimeParallelOptions opts = parallelOptions(3);
-    opts.mode = SimParallelMode::Verify;
+    opts.verify = true;
     CountingSink count;
     SimPerf perf;
     const TimeParallelStats tp =

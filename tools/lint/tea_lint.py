@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """tea_lint: project-specific static rules for the TEA tree.
 
-Seven rules, each enforcing an invariant the compiler cannot:
+Eight rules, each enforcing an invariant the compiler cannot:
 
   naked-new          No naked `new` / `malloc`-family allocation in src/
                      outside allocator shims: ownership must be typed
@@ -59,6 +59,13 @@ Seven rules, each enforcing an invariant the compiler cannot:
                      deliberate cold-path allocation with
                      `tea_lint: allow(hot-alloc)`.
 
+  env-knob-doc       Every "TEA_..." name read through getenv() or
+                     envUnsigned() in src/, bench/, tools/ or examples/
+                     has exactly one row in README.md's "Environment
+                     knobs" table, naming a file that reads it; and
+                     every row names a knob something reads. A knob
+                     nobody can discover is as bad as one nobody sets.
+
 Exit status 0 when clean; 1 with `file:line: [rule] message` diagnostics
 otherwise.
 """
@@ -71,7 +78,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from lint_common import iter_source_files  # noqa: E402
+from lint_common import is_excluded, iter_source_files  # noqa: E402
 
 IO_CALLS = ("fwrite", "fflush", "fseek", "fclose", "fsync", "rename",
             "remove", "fputs", "fputc")
@@ -424,6 +431,71 @@ class Linter:
                         "this file: pre-size it or annotate "
                         "`tea_lint: allow(hot-alloc)`")
 
+    # --- rule: env-knob-doc -----------------------------------------------
+
+    KNOB_DIRS = ("src", "bench", "tools", "examples")
+    KNOB_SUFFIXES = {".cc", ".hh", ".cpp"}
+    KNOB_READ_RE = re.compile(
+        r'\b(?:getenv|envUnsigned(?:In)?)\s*(?:<[^>]*>\s*)?\(\s*"(TEA_\w+)"')
+    KNOB_HEADING = "## Environment knobs"
+    KNOB_ROW_RE = re.compile(
+        r"^\|\s*`(TEA_\w+)`\s*\|[^|]*\|\s*`([^`]+)`\s*\|")
+
+    def knob_reads(self) -> dict[str, list[tuple[Path, int]]]:
+        """Every TEA_* name read from the environment: name -> sites."""
+        reads: dict[str, list[tuple[Path, int]]] = {}
+        for sub in self.KNOB_DIRS:
+            base = self.root / sub
+            if not base.is_dir():
+                continue
+            for path in sorted(base.rglob("*")):
+                if (path.suffix not in self.KNOB_SUFFIXES
+                        or not path.is_file()
+                        or is_excluded(path.relative_to(self.root))):
+                    continue
+                text = path.read_text()
+                for m in self.KNOB_READ_RE.finditer(text):
+                    lineno = text.count("\n", 0, m.start()) + 1
+                    reads.setdefault(m.group(1), []).append((path, lineno))
+        return reads
+
+    def check_env_knobs(self):
+        readme = self.root / "README.md"
+        lines = readme.read_text().splitlines() if readme.exists() else []
+        rows: dict[str, tuple[int, str]] = {}
+        in_section = False
+        for lineno, line in enumerate(lines, 1):
+            if line.startswith("## "):
+                in_section = line.strip() == self.KNOB_HEADING
+                continue
+            m = self.KNOB_ROW_RE.match(line) if in_section else None
+            if not m:
+                continue
+            if m.group(1) in rows:
+                self.violate(readme, lineno, "env-knob-doc",
+                             f"{m.group(1)} has a second row")
+            rows[m.group(1)] = (lineno, m.group(2))
+        reads = self.knob_reads()
+        for name, sites in sorted(reads.items()):
+            if name not in rows:
+                path, lineno = sites[0]
+                self.violate(path, lineno, "env-knob-doc",
+                             f"{name} is read here but has no row in "
+                             f"README.md's \"{self.KNOB_HEADING[3:]}\" "
+                             "table")
+        for name, (lineno, where) in sorted(rows.items()):
+            files = {p.relative_to(self.root).as_posix()
+                     for p, _ in reads.get(name, [])}
+            if not files:
+                self.violate(readme, lineno, "env-knob-doc",
+                             f"the knob table lists {name}, which "
+                             "nothing reads")
+            elif where not in files:
+                self.violate(readme, lineno, "env-knob-doc",
+                             f"the knob table says {where} parses "
+                             f"{name}; it is read in "
+                             f"{', '.join(sorted(files))}")
+
     # --- driver ----------------------------------------------------------
 
     def run(self) -> int:
@@ -453,6 +525,7 @@ class Linter:
                 self.check_raw_sync(path, stripped, raw_lines)
             if path.parent.name in ("core", "profilers"):
                 self.check_hot_alloc(path, stripped, raw_lines)
+        self.check_env_knobs()
 
         if self.violations:
             for v in self.violations:
@@ -460,7 +533,7 @@ class Linter:
             print(f"tea_lint: FAIL ({len(self.violations)} violation(s) "
                   f"in {self.files_checked} files)")
             return 1
-        print(f"tea_lint: PASS ({self.files_checked} files, 7 rules)")
+        print(f"tea_lint: PASS ({self.files_checked} files, 8 rules)")
         return 0
 
 
