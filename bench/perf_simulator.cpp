@@ -31,7 +31,10 @@
 #include "analysis/parallel_runner.hh"
 #include "analysis/parallel_sim.hh"
 #include "analysis/runner.hh"
+#include "common/env.hh"
+#include "common/fingerprint.hh"
 #include "common/logging.hh"
+#include "core/branch_predictor.hh"
 #include "core/cache.hh"
 #include "core/core.hh"
 #include "core/trace_buffer.hh"
@@ -206,6 +209,78 @@ BM_TraceChunkDecode(benchmark::State &state)
 BENCHMARK(BM_TraceChunkDecode)->Unit(benchmark::kMillisecond);
 
 void
+BM_TageUpdate(benchmark::State &state)
+{
+    // The fetch-time predictor call the core makes per conditional
+    // branch: 16 branch PCs, half loop-like (taken 7 of 8 times), half
+    // data-dependent (xorshift), so history bits of every age vary.
+    CoreConfig cfg;
+    TagePredictor tage(cfg);
+    constexpr std::size_t kOutcomes = 1 << 16;
+    std::vector<std::pair<InstIndex, bool>> branches(kOutcomes);
+    std::uint64_t x = 0x2545f4914f6cdd1dull;
+    for (std::size_t i = 0; i < kOutcomes; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const InstIndex pc = static_cast<InstIndex>(64 + 4 * (i % 16));
+        branches[i] = {pc, i % 2 ? (i / 16) % 8 != 7 : (x & 1) != 0};
+    }
+    std::uint64_t updates = 0;
+    for (auto _ : state) {
+        for (const auto &[pc, taken] : branches)
+            benchmark::DoNotOptimize(tage.update(pc, taken));
+        updates += kOutcomes;
+    }
+    state.counters["updates/s"] = benchmark::Counter(
+        static_cast<double>(updates), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TageUpdate)->Unit(benchmark::kMicrosecond);
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    // One frame-sized buffer per call, the unit the codec checksums.
+    std::vector<std::uint8_t> bytes(64 << 10);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 131 + (i >> 9));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(0, bytes.data(), bytes.size()));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations() * bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+void
+BM_EncodeChunk(benchmark::State &state)
+{
+    // Capture a real trace once; each iteration encodes every chunk
+    // into one reused buffer, as CompactTraceWriter does.
+    Workload w = workloads::aluLoop(2000);
+    TraceBuffer buf(4096);
+    CoreConfig cfg;
+    Core core(cfg, w.program, std::move(w.initial));
+    core.addSink(&buf);
+    core.run();
+    buf.finish();
+
+    std::vector<std::uint8_t> frame;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        for (const TraceChunkPtr &chunk : buf.chunks()) {
+            frame.clear();
+            encodeChunk(*chunk, frame);
+            events += chunk->events.size();
+            benchmark::DoNotOptimize(frame.data());
+        }
+        benchmark::ClobberMemory();
+    }
+    state.counters["events/s"] = benchmark::Counter(
+        static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EncodeChunk)->Unit(benchmark::kMillisecond);
+
+void
 BM_TraceCodecRoundTrip(benchmark::State &state)
 {
     // Capture a real trace once; each iteration encodes and decodes it.
@@ -239,21 +314,16 @@ BENCHMARK(BM_TraceCodecRoundTrip)->Unit(benchmark::kMillisecond);
 
 /**
  * Best-of-N trial count for the end-to-end measurements, from
- * TEA_PERF_TRIALS (default 4, clamped to [1, 64]). Raising it tightens
- * the minimum on a noisy box at a linear cost in wall clock; CI keeps
- * the default.
+ * TEA_PERF_TRIALS (default 4; 1 to 64, anything else is fatal).
+ * Raising it tightens the minimum on a noisy box at a linear cost in
+ * wall clock; CI keeps the default.
  */
 int
 perfTrials()
 {
-    const char *env = std::getenv("TEA_PERF_TRIALS");
-    if (!env || !*env)
-        return 4;
-    const long n = std::strtol(env, nullptr, 10);
-    if (n < 1)
-        return 1;
-    if (n > 64)
-        return 64;
+    const std::uint64_t n = envUnsignedIn("TEA_PERF_TRIALS", 4, 64);
+    if (n == 0)
+        tea_fatal("TEA_PERF_TRIALS must be at least 1, got '0'");
     return static_cast<int>(n);
 }
 

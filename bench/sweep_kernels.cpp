@@ -15,6 +15,7 @@
 #include <cstdlib>
 
 #include "analysis/sweep.hh"
+#include "common/env.hh"
 
 using namespace tea;
 
@@ -22,9 +23,9 @@ int
 main()
 {
     RunnerOptions opts = RunnerOptions::fromEnv();
-    const char *smoke = std::getenv("TEA_SWEEP_SMOKE");
-    const SweepSpec spec =
-        (smoke && *smoke && *smoke != '0') ? smokeSweep() : exampleSweep();
+    const SweepSpec spec = envUnsignedIn("TEA_SWEEP_SMOKE", 0, 1) != 0
+                               ? smokeSweep()
+                               : exampleSweep();
 
     const auto start = std::chrono::steady_clock::now();
     SweepRunResult run = runSweep(spec, standardTechniques(), opts);

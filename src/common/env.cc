@@ -19,7 +19,7 @@ envUnsignedIn(const char *name, std::uint64_t dflt, std::uint64_t max)
                       "'%s'",
                       name, v);
         const unsigned digit = static_cast<unsigned>(*p - '0');
-        if (n > (max - digit) / 10)
+        if (digit > max || n > (max - digit) / 10)
             tea_fatal("%s must be at most %llu, got '%s'", name,
                       static_cast<unsigned long long>(max), v);
         n = n * 10 + digit;

@@ -27,16 +27,18 @@ GsharePredictor::predict(InstIndex pc) const
     return table_[index(pc)] >= 2;
 }
 
-void
+bool
 GsharePredictor::update(InstIndex pc, bool taken)
 {
     std::uint8_t &ctr = table_[index(pc)];
-    account(ctr >= 2, taken);
+    const bool predicted = ctr >= 2;
+    account(predicted, taken);
     if (taken && ctr < 3)
         ++ctr;
     else if (!taken && ctr > 0)
         --ctr;
     history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
+    return predicted;
 }
 
 std::uint64_t
@@ -54,31 +56,20 @@ TagePredictor::TagePredictor(const CoreConfig &cfg)
     : bimodal_(8192, 1)
 {
     (void)cfg;
-    for (auto &t : tables_)
-        t.resize(1u << tableBits);
-}
-
-std::uint64_t
-TagePredictor::foldedHistory(unsigned len, unsigned bits) const
-{
-    std::uint64_t folded = 0;
-    for (unsigned i = 0; i < len; i += bits) {
-        // Extract up to `bits` history bits starting at position i.
-        std::uint64_t chunk = 0;
-        for (unsigned b = 0; b < bits && i + b < len; ++b) {
-            unsigned pos = i + b;
-            std::uint64_t word = history_[pos / 64];
-            chunk |= ((word >> (pos % 64)) & 1ULL) << b;
-        }
-        folded ^= chunk;
+    static_assert(historyLengths[numTables - 1] <=
+                      64 * std::tuple_size_v<decltype(history_)>,
+                  "history_ too short for the longest component");
+    for (unsigned t = 0; t < numTables; ++t) {
+        tables_[t].resize(1u << tableBits);
+        indexFold_[t] = {0, tableBits, historyLengths[t] % tableBits};
+        tagFold_[t] = {0, tagBits, historyLengths[t] % tagBits};
     }
-    return folded & ((1ULL << bits) - 1);
 }
 
 std::size_t
 TagePredictor::indexOf(unsigned table, InstIndex pc) const
 {
-    std::uint64_t h = foldedHistory(historyLengths[table], tableBits);
+    std::uint64_t h = indexFold_[table].value;
     std::uint64_t v = pc ^ (pc >> tableBits) ^ h ^
                       (static_cast<std::uint64_t>(table) << 3);
     return static_cast<std::size_t>(v & ((1ULL << tableBits) - 1));
@@ -87,7 +78,7 @@ TagePredictor::indexOf(unsigned table, InstIndex pc) const
 std::uint16_t
 TagePredictor::tagOf(unsigned table, InstIndex pc) const
 {
-    std::uint64_t h = foldedHistory(historyLengths[table], tagBits);
+    std::uint64_t h = tagFold_[table].value;
     std::uint64_t v = pc ^ (pc >> 5) ^ (h << 1) ^ table;
     return static_cast<std::uint16_t>(v & ((1ULL << tagBits) - 1));
 }
@@ -122,7 +113,7 @@ TagePredictor::predict(InstIndex pc) const
     return predictWith(bestMatch(pc), pc);
 }
 
-void
+bool
 TagePredictor::update(InstIndex pc, bool taken)
 {
     int provider = bestMatch(pc);
@@ -181,10 +172,18 @@ TagePredictor::update(InstIndex pc, bool taken)
         }
     }
 
-    // Shift the global history (newest outcome into bit 0).
-    for (unsigned w = history_.size() - 1; w > 0; --w)
-        history_[w] = (history_[w] << 1) | (history_[w - 1] >> 63);
+    // Shift the global history (newest outcome into bit 0), carrying
+    // each fold along: the bit leaving a component's window is history
+    // bit len-1 before the shift.
+    for (unsigned t = 0; t < numTables; ++t) {
+        const unsigned top = historyLengths[t] - 1;
+        const bool out = (history_[top / 64] >> (top % 64)) & 1;
+        indexFold_[t].push(taken, out);
+        tagFold_[t].push(taken, out);
+    }
+    history_[1] = (history_[1] << 1) | (history_[0] >> 63);
     history_[0] = (history_[0] << 1) | (taken ? 1 : 0);
+    return predicted;
 }
 
 std::uint64_t

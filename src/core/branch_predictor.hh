@@ -32,8 +32,12 @@ class BranchPredictor
     /** Predict the direction of the branch at @p pc. */
     virtual bool predict(InstIndex pc) const = 0;
 
-    /** Train with the actual @p taken outcome and update history. */
-    virtual void update(InstIndex pc, bool taken) = 0;
+    /**
+     * Train with the actual @p taken outcome and update history.
+     * @return the prediction the branch was trained against, i.e. what
+     *         predict(pc) returned just before this call
+     */
+    virtual bool update(InstIndex pc, bool taken) = 0;
 
     /** Approximate storage budget in bits. */
     virtual std::uint64_t storageBits() const = 0;
@@ -41,11 +45,12 @@ class BranchPredictor
     /**
      * Deep-copy the full predictor state (tables, history, counters).
      *
-     * Because predict() is const and the core trains the predictor at
-     * fetch along the oracle-correct path, predictor state is a pure
-     * function of the architectural branch sequence — so a snapshot
-     * taken by a functional pre-pass that replays update() per branch
-     * is bit-identical to the timing core's state at the same dynamic
+     * Because the core trains the predictor at fetch along the
+     * oracle-correct path, with one update() per conditional branch and
+     * nothing else, predictor state is a pure function of the
+     * architectural branch sequence — so a snapshot taken by a
+     * functional pre-pass that replays update() per branch is
+     * bit-identical to the timing core's state at the same dynamic
      * instruction (core/checkpoint relies on this for warm restarts).
      */
     virtual std::unique_ptr<BranchPredictor> clone() const = 0;
@@ -71,7 +76,7 @@ class GsharePredictor : public BranchPredictor
     explicit GsharePredictor(const CoreConfig &cfg);
 
     bool predict(InstIndex pc) const override;
-    void update(InstIndex pc, bool taken) override;
+    bool update(InstIndex pc, bool taken) override;
     std::uint64_t storageBits() const override;
     std::unique_ptr<BranchPredictor> clone() const override
     {
@@ -91,6 +96,12 @@ class GsharePredictor : public BranchPredictor
  * geometrically growing global-history lengths; prediction comes from
  * the longest matching component, with allocate-on-mispredict and
  * usefulness-based replacement (Seznec-style, simplified).
+ *
+ * Each component hashes its history length folded down to the index
+ * and tag widths: history bit p lands on bit p mod width. The folds
+ * live in circular shift registers advanced once per update() (one
+ * rotate, one bit in, one bit out), so a lookup costs O(1) per table
+ * instead of a walk over up to 128 history bits.
  */
 class TagePredictor : public BranchPredictor
 {
@@ -98,7 +109,7 @@ class TagePredictor : public BranchPredictor
     explicit TagePredictor(const CoreConfig &cfg);
 
     bool predict(InstIndex pc) const override;
-    void update(InstIndex pc, bool taken) override;
+    bool update(InstIndex pc, bool taken) override;
     std::uint64_t storageBits() const override;
     std::unique_ptr<BranchPredictor> clone() const override
     {
@@ -119,8 +130,28 @@ class TagePredictor : public BranchPredictor
         std::uint8_t useful = 0;  ///< 2-bit usefulness
     };
 
-    /** Fold the first @p len history bits into @p bits bits. */
-    std::uint64_t foldedHistory(unsigned len, unsigned bits) const;
+    /**
+     * Folded history of one length into one width: bit p of the newest
+     * len outcomes lives at bit p mod @c bits.
+     */
+    struct FoldedHistory
+    {
+        std::uint32_t value = 0;
+        unsigned bits = 0;     ///< fold width
+        unsigned outShift = 0; ///< history length mod bits
+
+        /** Shift @p in into the history; @p out is the bit pushed past
+         *  the history length (bit len-1 before the shift). */
+        void
+        push(bool in, bool out)
+        {
+            value = (value << 1) | (in ? 1u : 0u);
+            value ^= (out ? 1u : 0u) << outShift;
+            value ^= value >> bits;
+            value &= (1u << bits) - 1;
+        }
+    };
+
     std::size_t indexOf(unsigned table, InstIndex pc) const;
     std::uint16_t tagOf(unsigned table, InstIndex pc) const;
 
@@ -130,9 +161,12 @@ class TagePredictor : public BranchPredictor
 
     std::vector<std::uint8_t> bimodal_; ///< 2-bit counters
     std::array<std::vector<TaggedEntry>, numTables> tables_;
-    // Global history as a bit deque (newest in bit 0).
-    std::array<std::uint64_t, 4> history_{}; ///< 256 bits
-    std::uint64_t allocSeed_ = 0x1234567;    ///< replacement tiebreaks
+    // Global history as a bit deque (newest in bit 0), as long as the
+    // longest component needs.
+    std::array<std::uint64_t, 2> history_{};
+    std::array<FoldedHistory, numTables> indexFold_{}; ///< to tableBits
+    std::array<FoldedHistory, numTables> tagFold_{};   ///< to tagBits
+    std::uint64_t allocSeed_ = 0x1234567; ///< replacement tiebreaks
 };
 
 /** Construct the predictor selected by @p cfg. */

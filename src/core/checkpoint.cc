@@ -65,7 +65,8 @@ buildCheckpoints(const Program &prog, const ArchState &initial,
 
     // Shadow predictor trained along the walk: update() per
     // conditional branch, exactly the sequence the timing core applies
-    // at fetch (oracle correct path, predict() side-effect free).
+    // at fetch (oracle correct path; the core reads its prediction from
+    // update()'s return and makes no other predictor call).
     std::unique_ptr<BranchPredictor> bp;
     if (cfg)
         bp = makePredictor(*cfg);

@@ -25,8 +25,9 @@
  *
  * One piece of *microarchitectural* state is checkpointed exactly: the
  * branch predictor. The core trains it at fetch along the oracle
- * correct path (predict() is const), so its state is a pure function
- * of the architectural branch sequence — the pre-pass replays that
+ * correct path, one update() per conditional branch whose return value
+ * is the prediction, so its state is a pure function of the
+ * architectural branch sequence — the pre-pass replays that
  * sequence and snapshots the predictor at each checkpoint, and a
  * restarted Core is handed serial-identical predictor state for free.
  *

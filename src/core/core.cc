@@ -1,8 +1,8 @@
 #include "core/core.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.hh"
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "core/checkpoint.hh"
@@ -119,7 +119,8 @@ Core::init()
                              cfg_.storeSetClearInterval;
 
     // Every container touched per cycle is sized once, here: the hot
-    // stages (annotated `tea_lint: hot`) must never allocate.
+    // stages (annotated for tea_lint's hot-alloc rule) must never
+    // allocate.
     fetchBuffer_.reserve(cfg_.fetchBufferEntries);
     sq_.reserve(cfg_.sqEntries);
     lq_.reserve(cfg_.lqEntries);
@@ -133,10 +134,7 @@ Core::init()
     wake_.reserve(256);
     traceBuf_.reserve(traceBatchEvents);
 
-    if (const char *v = std::getenv("TEA_CORE_FASTPATH")) {
-        if (v[0] != '\0')
-            fastPath_ = !(v[0] == '0' && v[1] == '\0');
-    }
+    fastPath_ = envUnsignedIn("TEA_CORE_FASTPATH", 1, 1) != 0;
 }
 
 void
@@ -925,9 +923,7 @@ Core::fetchStage()
 
         bool stop = false;
         if (si.isCondBranch()) {
-            bool pred = bp_->predict(this_pc);
-            bp_->update(this_pc, er.taken);
-            u.mispredicted = pred != er.taken;
+            u.mispredicted = bp_->update(this_pc, er.taken) != er.taken;
             if (u.mispredicted) {
                 ++stats_.branchMispredicts;
                 ++stats_.pipelineFlushes;

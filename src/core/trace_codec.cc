@@ -82,6 +82,21 @@ putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
     out.push_back(static_cast<std::uint8_t>(v));
 }
 
+/** LEB128 of @p v written at @p p; returns one past its last byte. */
+std::uint8_t *
+putVarintAt(std::uint8_t *p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(v) | 0x80u;
+        v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+}
+
+/** Longest LEB128 encoding of a 64-bit value. */
+constexpr std::size_t maxVarintBytes = 10;
+
 std::uint64_t
 zigzag(std::int64_t d)
 {
@@ -165,16 +180,26 @@ fail(std::string *why, const char *msg)
 void
 encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
 {
-    std::array<std::vector<std::uint8_t>, NumStreams> streams;
+    // Stream buffers live as long as the thread and keep their
+    // capacity, so a steady-state encode allocates nothing; each call
+    // starts them empty, so no byte carries over between frames.
+    thread_local std::array<std::vector<std::uint8_t>, NumStreams> streams;
+    for (auto &s : streams)
+        s.clear();
     DeltaState cycD, headSeqD, headPcD, lastPcD, comSeqD, comPcD;
     DeltaState dispSeqD, dispPcD, dispCycD, fetchSeqD, fetchPcD,
         fetchCycD, retSeqD, retPcD, retCycD;
 
-    std::vector<std::uint8_t> kinds;
-    kinds.reserve(chunk.events.size());
+    // The payload is the kind array, then the length-prefixed streams;
+    // the kinds go straight into place behind the header.
+    const std::size_t at = out.size();
+    const std::size_t kindsAt = at + sizeof(ChunkFrameHeader);
+    const std::size_t numEvents = chunk.events.size();
+    out.resize(kindsAt + numEvents);
+    std::uint8_t *kind = out.data() + kindsAt;
 
     for (const TraceEvent &ev : chunk.events) {
-        kinds.push_back(static_cast<std::uint8_t>(ev.kind));
+        *kind++ = static_cast<std::uint8_t>(ev.kind);
         switch (ev.kind) {
           case TraceEventKind::Cycle: {
             const CycleRecord &r = ev.p.cycle;
@@ -233,32 +258,29 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
         }
     }
 
-    // Assemble the payload: kinds, then length-prefixed streams.
-    std::vector<std::uint8_t> payload;
-    std::size_t payload_guess = kinds.size();
+    std::size_t bound = kindsAt + numEvents;
     for (const auto &s : streams)
-        payload_guess += s.size() + 4;
-    payload.reserve(payload_guess);
-    payload.insert(payload.end(), kinds.begin(), kinds.end());
+        bound += maxVarintBytes + s.size();
+    out.resize(bound);
+    std::uint8_t *p = out.data() + kindsAt + numEvents;
     for (const auto &s : streams) {
-        putVarint(payload, s.size());
-        payload.insert(payload.end(), s.begin(), s.end());
+        p = putVarintAt(p, s.size());
+        if (!s.empty())
+            std::memcpy(p, s.data(), s.size());
+        p += s.size();
     }
+    out.resize(static_cast<std::size_t>(p - out.data()));
 
+    const std::size_t payloadBytes = out.size() - kindsAt;
     ChunkFrameHeader hdr;
     hdr.frameBytes = static_cast<std::uint32_t>(sizeof(ChunkFrameHeader) +
-                                                payload.size());
-    hdr.eventCount = static_cast<std::uint32_t>(chunk.events.size());
+                                                payloadBytes);
+    hdr.eventCount = static_cast<std::uint32_t>(numEvents);
     hdr.cycleRecords = static_cast<std::uint32_t>(chunk.cycleRecords);
-    hdr.payloadCrc = crc32(0, payload.data(), payload.size());
-    tea_assert(hdr.frameBytes <= maxChunkFrameBytes,
+    hdr.payloadCrc = crc32(0, out.data() + kindsAt, payloadBytes);
+    tea_assert(sizeof(ChunkFrameHeader) + payloadBytes <= maxChunkFrameBytes,
                "trace chunk frame exceeds %u bytes", maxChunkFrameBytes);
-
-    std::size_t at = out.size();
-    out.resize(at + sizeof(hdr) + payload.size());
     std::memcpy(out.data() + at, &hdr, sizeof(hdr));
-    std::memcpy(out.data() + at + sizeof(hdr), payload.data(),
-                payload.size());
 }
 
 bool

@@ -61,6 +61,31 @@ static_assert(sizeof(TraceFileHeader) == 64,
 static_assert(std::is_trivially_copyable_v<CoreStats>,
               "CoreStats is embedded in trace-cache files by memcpy");
 
+/**
+ * Granule of the behind-the-cursor page release in nextChunk(): pages
+ * are dropped once this many bytes of them lie wholly behind the last
+ * decoded frame, so a replay holds at most about this much of the entry
+ * resident at a time for one madvise() per granule, not per frame.
+ */
+constexpr std::size_t releaseGranule = std::size_t{1} << 20;
+
+/**
+ * Drop this process's pages of [@p from, @p to) of a read-only
+ * MAP_PRIVATE file mapping. Nothing is lost: such pages were never
+ * written, so they stay in the page cache and a later touch faults the
+ * same bytes back in from the same inode. That holds only because
+ * cache entries never change in place — they are published by rename,
+ * and the janitor only unlinks or renames them — so the inode behind a
+ * mapping keeps its bytes for the mapping's lifetime.
+ */
+void
+releasePages(const std::uint8_t *base, std::size_t from, std::size_t to)
+{
+    // Advisory: on failure the pages merely stay resident until munmap.
+    (void)::madvise(const_cast<std::uint8_t *>(base + from), to - from,
+                    MADV_DONTNEED); // tea_lint: allow(unchecked-io)
+}
+
 std::uint32_t
 headerSelfCrc(const TraceFileHeader &hdr)
 {
@@ -406,6 +431,10 @@ MappedTraceFile::open(const std::string &path,
     f->chunkCount_ = chunks;
     f->eventCount_ = events;
     f->cycleCount_ = cycles;
+    // The CRC pass faulted in every page of the entry; give them back
+    // rather than holding the whole file resident until munmap.
+    // nextChunk() faults in each frame as it decodes it.
+    releasePages(f->base_, 0, size);
     return f;
 }
 
@@ -444,6 +473,15 @@ MappedTraceFile::nextChunk()
         tea_panic("trace cache '%s': CRC-clean frame failed to decode "
                   "(%s)",
                   path_.c_str(), why.c_str());
+    }
+    // The decoded chunk holds no pointer into the mapping, and frames
+    // are read front to back once, so the pages wholly behind this
+    // frame's last byte are done with.
+    const std::size_t behind =
+        (offset + consumed) & ~(releaseGranule - 1);
+    if (behind > releasedTo_) {
+        releasePages(base_, releasedTo_, behind);
+        releasedTo_ = behind;
     }
     // Software-pipeline the source bytes: start pulling the next
     // frame's encoded streams toward the cache now, so they arrive

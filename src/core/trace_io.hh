@@ -117,7 +117,10 @@ class CompactTraceWriter
  * observer mid-replay: it simply fails to open (with a reason) and the
  * caller falls back to simulation. After open() succeeds, chunks are
  * decoded on demand straight out of the mapping (no read buffers, no
- * up-front materialization of the trace).
+ * up-front materialization of the trace). The pages the validation
+ * pass read are released when open() returns, and nextChunk() releases
+ * pages again once the cursor has passed them, so a reader keeps only
+ * a small window of the entry resident however large it is.
  */
 class MappedTraceFile
 {
@@ -168,6 +171,7 @@ class MappedTraceFile
     std::size_t size_ = 0;
     std::size_t payloadOffset_ = 0;
     std::size_t nextFrame_ = 0; ///< nextChunk() cursor (frame index)
+    std::size_t releasedTo_ = 0; ///< pages before this offset released
     std::string path_;
     CoreStats stats_{};
     std::uint64_t chunkCount_ = 0;

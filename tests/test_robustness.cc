@@ -216,6 +216,24 @@ TEST(EnvKnobsDeath, JanitorConfigRejectsSignAndGarbage)
     }
 }
 
+TEST(EnvKnobsDeath, CoreFastPathTakesOnlyZeroOrOne)
+{
+    // Constructing a Core reads the knob; nothing is simulated.
+    Workload w = workloads::aluLoop(1);
+    const CoreConfig cfg;
+    for (const char *bad : {"off", "2", "false", "-1", " 1"}) {
+        expectEnvFatal([&] { Core core(cfg, w.program, w.initial); },
+                       "TEA_CORE_FASTPATH", bad);
+    }
+    for (const char *good : {"0", "1"}) {
+        ::setenv("TEA_CORE_FASTPATH", good, 1);
+        Core core(cfg, w.program, w.initial);
+        EXPECT_EQ(core.fastPath(), good[0] == '1');
+    }
+    ::unsetenv("TEA_CORE_FASTPATH");
+    EXPECT_TRUE(Core(cfg, w.program, w.initial).fastPath());
+}
+
 TEST(EnvKnobs, AcceptPlainDecimalUpToFieldRange)
 {
     ::setenv("TEA_CACHE_LOCK_TIMEOUT_MS", "4294967295", 1);

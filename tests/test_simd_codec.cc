@@ -23,12 +23,14 @@
 #include <cstring>
 #include <gtest/gtest.h>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <dirent.h>
 #include <unistd.h>
 
 #include "analysis/runner.hh"
+#include "common/fingerprint.hh"
 #include "common/rng.hh"
 #include "core/trace_buffer.hh"
 #include "core/trace_codec.hh"
@@ -503,5 +505,70 @@ TEST(SimdReplay, WarmReplayBitIdenticalAcrossConsumers)
         EXPECT_EQ(warm.replay.simulateSeconds, 0.0);
         EXPECT_GT(warm.replay.decodeSeconds, 0.0);
         expectExperimentsIdentical(cold, warm);
+    }
+}
+
+namespace {
+
+/** FNV-1a of @p bytes. */
+std::uint64_t
+bytesDigest(const std::vector<std::uint8_t> &bytes)
+{
+    Fnv1a h;
+    h.addBytes(bytes.data(), bytes.size());
+    return h.value();
+}
+
+} // namespace
+
+TEST(SimdCodec, EncodedFramesArePinned)
+{
+    // Frames are the on-disk format: an entry an earlier build wrote
+    // must stay a cache hit, so the bytes may change only together
+    // with traceCodecVersion. The digest was recorded with the
+    // allocate-per-call encoder that predates scratch reuse.
+    static_assert(traceCodecVersion == 1,
+                  "re-pin the frame digest when the codec version moves");
+    Rng rng(0x7ea5eed);
+    std::vector<std::uint8_t> frames;
+    for (unsigned i = 0; i < 12; ++i)
+        encodeChunk(extremeChunk(rng, rng.below(900)), frames);
+    EXPECT_EQ(frames.size(), 112385u);
+    EXPECT_EQ(bytesDigest(frames), 0x182159f26fa142bcull);
+}
+
+TEST(SimdCodec, EncoderScratchCarriesNothingBetweenCalls)
+{
+    // One thread encodes large and tiny chunks alternately, so a reused
+    // stream buffer that kept bytes from the previous call would show.
+    // Each frame must equal the one a fresh thread (fresh scratch)
+    // writes for the same chunk, appended after unrelated bytes.
+    Rng rng(0xa17e);
+    std::vector<TraceChunk> chunks;
+    for (unsigned i = 0; i < 10; ++i)
+        chunks.push_back(extremeChunk(rng, i % 2 ? 1 + rng.below(8)
+                                                 : 600 + rng.below(600)));
+    chunks.push_back(TraceChunk{}); // no events at all
+
+    for (const TraceChunk &chunk : chunks) {
+        std::vector<std::uint8_t> reused{0xee, 0xee, 0xee};
+        encodeChunk(chunk, reused);
+        std::vector<std::uint8_t> fresh{0xee, 0xee, 0xee};
+        std::thread([&] { encodeChunk(chunk, fresh); }).join();
+        ASSERT_EQ(reused, fresh);
+
+        std::string why;
+        ASSERT_TRUE(verifyFrame(reused.data() + 3, reused.size() - 3, &why))
+            << why;
+        TraceChunk back;
+        std::size_t consumed = 0;
+        ASSERT_TRUE(decodeChunk(reused.data() + 3, reused.size() - 3, back,
+                                &consumed, &why))
+            << why;
+        EXPECT_EQ(consumed, reused.size() - 3);
+        ASSERT_EQ(back.events.size(), chunk.events.size());
+        for (std::size_t i = 0; i < chunk.events.size(); ++i)
+            ASSERT_TRUE(eventsEquivalent(chunk.events[i], back.events[i]))
+                << "event " << i;
     }
 }

@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <gtest/gtest.h>
 #include <vector>
@@ -298,6 +299,69 @@ TEST_P(TraceIoRoundTrip, RandomizedEventSequenceSurvivesRoundTrip)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoRoundTrip,
                          ::testing::Values(1u, 42u, 0xdecafbadu));
+
+namespace {
+
+/** Resident set of this process in bytes, from /proc/self/statm. */
+std::int64_t
+residentBytes()
+{
+    unsigned long long pages = 0, resident = 0;
+    if (std::FILE *f = std::fopen("/proc/self/statm", "r")) {
+        if (std::fscanf(f, "%llu %llu", &pages, &resident) != 2)
+            resident = 0;
+        std::fclose(f);
+    }
+    return static_cast<std::int64_t>(resident) * ::sysconf(_SC_PAGESIZE);
+}
+
+} // namespace
+
+TEST(TraceIo, WarmHitReleasesValidatedPagesAndDecodesIdentically)
+{
+    // open() reads every byte of an entry for its CRC pass; those pages
+    // must not stay charged to the process until munmap. Random 64-bit
+    // fields encode wide, so four distinct chunks written round-robin
+    // fill a 32 MiB entry quickly.
+    TempFile tmp("release.teatrc");
+    std::vector<TraceChunk> chunks(4);
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        chunks[i].events = randomEvents(0x5eed + i, 4095);
+        for (const TraceEvent &ev : chunks[i].events)
+            chunks[i].cycleRecords += ev.kind == TraceEventKind::Cycle;
+    }
+    std::size_t written = 0;
+    {
+        CompactTraceWriter writer(tmp.path, kFingerprint);
+        while (writer.bytesWritten() < (std::uint64_t{32} << 20))
+            writer.writeChunk(chunks[written++ % chunks.size()]);
+        ASSERT_TRUE(writer.commit(CoreStats{}));
+    }
+
+    const std::int64_t before = residentBytes();
+    std::string why;
+    std::unique_ptr<MappedTraceFile> f =
+        MappedTraceFile::open(tmp.path, kFingerprint, &why);
+    ASSERT_NE(f, nullptr) << why;
+    const std::int64_t grown = residentBytes() - before;
+    ASSERT_GE(f->fileBytes(), std::uint64_t{32} << 20);
+    EXPECT_LT(grown, std::int64_t{4} << 20)
+        << "open() left " << (grown >> 20) << " MiB of the entry resident";
+
+    // Released pages fault back in from the same bytes.
+    for (std::size_t i = 0; i < written; ++i) {
+        SCOPED_TRACE(i);
+        TraceChunkPtr got = f->nextChunk();
+        ASSERT_NE(got, nullptr);
+        const TraceChunk &want = chunks[i % chunks.size()];
+        ASSERT_EQ(got->cycleRecords, want.cycleRecords);
+        ASSERT_EQ(got->events.size(), want.events.size());
+        for (std::size_t e = 0; e < want.events.size(); ++e)
+            ASSERT_TRUE(eventsEquivalent(want.events[e], got->events[e]))
+                << "event " << e;
+    }
+    EXPECT_EQ(f->nextChunk(), nullptr);
+}
 
 TEST(TraceCodec, DecodeFromMisalignedBuffer)
 {
