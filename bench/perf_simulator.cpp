@@ -6,13 +6,17 @@
  * benchmarks (not paper results) used to keep the harness fast enough
  * for the sweeps.
  *
- * After the microbenchmarks, main() runs two end-to-end measurements:
- * the simulate phase itself (reference cycle-stepped loop vs the
+ * With `--out DIR`, main() then runs two end-to-end measurements: the
+ * simulate phase itself (reference cycle-stepped loop vs the
  * event-driven fast path vs the cold time-parallel stitched run, into
- * BENCH_simulator.json) and the persistent trace cache (one cold
+ * DIR/BENCH_simulator.json) and the persistent trace cache (one cold
  * simulate+store run vs warm mmap+decode+replay runs, into
- * BENCH_trace_cache.json), both for CI tracking. Each measurement is
- * best-of-N with N from TEA_PERF_TRIALS (default 4).
+ * DIR/BENCH_trace_cache.json), both for CI tracking. Without it only
+ * the microbenchmarks run and nothing is written, so a run in the
+ * source tree cannot overwrite the checked-in baselines. Each
+ * measurement is best-of-N with N from TEA_PERF_TRIALS (default 4).
+ *
+ *   perf_simulator [google-benchmark flags] [--out DIR]
  */
 
 #include <benchmark/benchmark.h>
@@ -364,7 +368,7 @@ removeTree(const std::string &dir)
 constexpr double kSeedColdSeconds = 1.29;
 
 int
-measureSimulator()
+measureSimulator(const std::string &out_dir)
 {
     const char *workload = "fotonik3d";
 
@@ -510,11 +514,11 @@ measureSimulator()
                     par.tp.convergenceRetries),
                 par.tp.parallelEfficiency * 100.0);
 
-    std::FILE *f = std::fopen("BENCH_simulator.json", "w");
+    const std::string path = out_dir + "/BENCH_simulator.json";
+    std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
-        std::fprintf(stderr,
-                     "simulator bench: cannot write "
-                     "BENCH_simulator.json\n");
+        std::fprintf(stderr, "simulator bench: cannot write %s\n",
+                     path.c_str());
         return 1;
     }
     std::fprintf(f,
@@ -549,7 +553,11 @@ measureSimulator()
                  static_cast<unsigned long long>(
                      par.tp.convergenceRetries),
                  par.tp.parallelEfficiency, cores, kernel);
-    std::fclose(f);
+    if (std::fclose(f) != 0) {
+        std::fprintf(stderr, "simulator bench: cannot write %s\n",
+                     path.c_str());
+        return 1;
+    }
     return 0;
 }
 
@@ -565,7 +573,7 @@ measureSimulator()
  * (core count, selected varint kernel) those numbers depend on.
  */
 int
-measureTraceCache()
+measureTraceCache(const std::string &out_dir)
 {
     char tmpl[] = "/tmp/tea-cache-bench-XXXXXX";
     const char *dir = ::mkdtemp(tmpl);
@@ -654,11 +662,11 @@ measureTraceCache()
                 static_cast<unsigned long long>(warm.replay.cacheBytes),
                 kernel, cores);
 
-    std::FILE *f = std::fopen("BENCH_trace_cache.json", "w");
+    const std::string path = out_dir + "/BENCH_trace_cache.json";
+    std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
-        std::fprintf(stderr,
-                     "trace-cache bench: cannot write "
-                     "BENCH_trace_cache.json\n");
+        std::fprintf(stderr, "trace-cache bench: cannot write %s\n",
+                     path.c_str());
         return 1;
     }
     std::fprintf(f,
@@ -680,7 +688,11 @@ measureTraceCache()
                  static_cast<unsigned long long>(warm.replay.cacheBytes),
                  cold.replay.totalSeconds, warm.replay.totalSeconds,
                  speedup, decode_rate, replay_rate, cores, kernel);
-    std::fclose(f);
+    if (std::fclose(f) != 0) {
+        std::fprintf(stderr, "trace-cache bench: cannot write %s\n",
+                     path.c_str());
+        return 1;
+    }
     return 0;
 }
 
@@ -689,12 +701,31 @@ measureTraceCache()
 int
 main(int argc, char **argv)
 {
+    // Take --out DIR / --out=DIR out of argv before google-benchmark
+    // sees it (it rejects flags it does not know).
+    std::string outDir;
+    int kept = 1;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--out" && i + 1 < argc)
+            outDir = argv[++i];
+        else if (arg.rfind("--out=", 0) == 0)
+            outDir = arg.substr(6);
+        else if (arg == "--out")
+            tea_fatal("perf_simulator: --out needs a directory");
+        else
+            argv[kept++] = argv[i];
+    }
+    argc = kept;
+
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    if (int rc = measureSimulator())
+    if (outDir.empty())
+        return 0;
+    if (int rc = measureSimulator(outDir))
         return rc;
-    return measureTraceCache();
+    return measureTraceCache(outDir);
 }

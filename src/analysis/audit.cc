@@ -1,8 +1,13 @@
 #include "analysis/audit.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string_view>
 
+#include "analysis/runner.hh"
 #include "common/logging.hh"
+#include "core/trace_codec.hh"
 #include "profilers/golden.hh"
 
 namespace tea {
@@ -383,6 +388,56 @@ auditPicsIdentical(const Pics &a, const Pics &b)
         }
     }
     return std::string();
+}
+
+FingerprintSink::FingerprintSink()
+    : sink_(4096, [this](TraceChunkPtr chunk) {
+          frame_.clear();
+          encodeChunk(*chunk, frame_);
+          hash_.addBytes(frame_.data(), frame_.size());
+          ++chunks_;
+      })
+{
+}
+
+std::uint64_t
+digestPics(const Pics &p)
+{
+    std::vector<PicsComponent> comps = p.components();
+    std::sort(comps.begin(), comps.end(),
+              [](const PicsComponent &a, const PicsComponent &b) {
+                  return a.unit != b.unit ? a.unit < b.unit
+                                          : a.signature < b.signature;
+              });
+    Fnv1a h;
+    auto addDouble = [&](double d) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof bits);
+        h.add(bits);
+    };
+    for (const PicsComponent &c : comps) {
+        h.add(c.unit);
+        h.add(c.signature);
+        addDouble(c.cycles);
+    }
+    addDouble(p.total());
+    return h.value();
+}
+
+std::uint64_t
+digestResult(const ExperimentResult &r)
+{
+    Fnv1a h;
+    h.add(digestPics(r.golden->pics()));
+    for (const TechniqueResult &t : r.techniques) {
+        h.add(std::string_view(t.config.name));
+        h.add(digestPics(t.pics));
+        h.add(t.samplesTaken);
+        h.add(t.samplesDropped);
+    }
+    h.add(r.stats.cycles);
+    h.add(r.stats.committedUops);
+    return h.value();
 }
 
 } // namespace tea

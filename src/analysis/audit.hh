@@ -31,6 +31,12 @@
  * tail == simulated cycles, exactly) and bit-identical Pics across
  * replay thread counts are verified by the free helpers below; the
  * runner invokes them after every audited experiment.
+ *
+ * Two digests pin a run for comparison: FingerprintSink hashes the
+ * trace itself through the canonical codec (TEA_AUDIT=2 compares it
+ * against a serial re-run), and digestResult hashes what the run
+ * concluded (every PICS, sample counts, cycles and micro-ops; the
+ * contract test compares it against perfbench/reference.txt).
  */
 
 #ifndef TEA_ANALYSIS_AUDIT_HH
@@ -40,12 +46,15 @@
 #include <string>
 #include <vector>
 
+#include "common/fingerprint.hh"
 #include "core/trace.hh"
+#include "core/trace_buffer.hh"
 #include "profilers/pics.hh"
 
 namespace tea {
 
 class GoldenReference;
+struct ExperimentResult;
 
 /** Runtime trace-invariant checker (see file comment). */
 class InvariantAuditor : public TraceSink
@@ -133,6 +142,55 @@ std::string auditCycleConservation(const GoldenReference &golden,
  *         first differing (unit, signature) cell
  */
 std::string auditPicsIdentical(const Pics &a, const Pics &b);
+
+/**
+ * Digest of a trace: the stream cut into 4096-event chunks, each
+ * encoded by the trace codec and hashed. The codec canonicalizes what
+ * no observer may read (stale bytes behind a validity flag), so two
+ * streams hash equal exactly when every observable field agrees.
+ * Attach sink() to a core or a replay, then call finishAndValue().
+ */
+class FingerprintSink
+{
+  public:
+    FingerprintSink();
+    FingerprintSink(const FingerprintSink &) = delete;
+    FingerprintSink &operator=(const FingerprintSink &) = delete;
+
+    ChunkingSink *sink() { return &sink_; }
+
+    std::uint64_t finishAndValue()
+    {
+        sink_.finish();
+        return hash_.value();
+    }
+
+    std::uint64_t events() const { return sink_.eventsCaptured(); }
+    std::uint64_t chunks() const { return chunks_; }
+
+  private:
+    ChunkingSink sink_;
+    std::vector<std::uint8_t> frame_;
+    Fnv1a hash_;
+    std::uint64_t chunks_ = 0;
+};
+
+/**
+ * Order-independent digest of @p p: every (unit, signature, cycles)
+ * cell in sorted order, then the total, doubles by their bits. The
+ * same bits as perfbench's own picsDigest, which the next benchmark
+ * change replaces with this (the names differ because perfbench's
+ * file-local copies would make an unqualified call ambiguous).
+ */
+std::uint64_t digestPics(const Pics &p);
+
+/**
+ * Digest of what an experiment concluded: the golden PICS, each
+ * technique's name, PICS and sample counts, and the simulated cycles
+ * and committed micro-ops. perfbench/reference.txt records these per
+ * experiment.
+ */
+std::uint64_t digestResult(const ExperimentResult &r);
 
 } // namespace tea
 

@@ -44,11 +44,9 @@ RunnerOptions
 RunnerOptions::fromEnv()
 {
     RunnerOptions opts;
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     // Default: one replay worker per hardware thread (results are
     // identical at any thread count, so this is purely a speed knob).
-    const auto threads = envUnsigned<unsigned>("TEA_THREADS", hw);
-    opts.threads = threads == 0 ? hw : threads;
+    opts.threads = threadsOrHardware(envUnsigned<unsigned>("TEA_THREADS", 0));
     opts.audit = envUnsigned<unsigned>("TEA_AUDIT", 0);
     opts.cache = TraceCacheOptions::fromEnv();
     opts.janitor = JanitorConfig::fromEnv();
@@ -280,22 +278,16 @@ struct CacheSession
     std::unique_ptr<CompactTraceWriter> writer;
 };
 
-} // namespace
-
+/**
+ * One pass of the experiment flow (see runWorkload). When @p digest is
+ * set it observes the trace as one more observer group, so it hashes
+ * exactly the stream the profilers saw.
+ */
 ExperimentResult
-runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
-            const RunnerOptions &opts, const CoreConfig &cfg)
+runOnce(Workload workload, const std::vector<SamplerConfig> &techniques,
+        const RunnerOptions &opts, const CoreConfig &cfg,
+        FingerprintSink *digest)
 {
-    // Static init is long over: a TEA_FAILPOINTS entry still parked
-    // names no seam in this binary and must not silently test nothing.
-    failpoints::checkEnvConsumed();
-
-    // TEA_AUDIT >= 2 re-runs pooled or time-parallel experiments fully
-    // serially; keep a pristine copy before the run consumes it.
-    std::unique_ptr<Workload> pristine;
-    if (opts.audit >= 2 && (opts.threads > 1 || opts.sim.wantsParallel()))
-        pristine = std::make_unique<Workload>(workload);
-
     const auto start = Clock::now();
     ExperimentResult res;
     res.name = workload.program.name();
@@ -304,7 +296,7 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
 
     std::vector<std::unique_ptr<TechniqueSampler>> samplers;
     samplers.reserve(techniques.size());
-    for (SamplerConfig &tc : techniques) {
+    for (const SamplerConfig &tc : techniques) {
         samplers.push_back(std::make_unique<TechniqueSampler>(tc));
         samplers.back()->reserveCells(workload.program.size());
     }
@@ -318,12 +310,14 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
         auditor = std::make_unique<InvariantAuditor>(
             InvariantAuditor::Mode::FailFast);
     std::vector<SinkGroup> groups;
-    groups.reserve(samplers.size() + 2);
+    groups.reserve(samplers.size() + 3);
     groups.push_back(SinkGroup{{res.golden.get()}});
     for (auto &s : samplers)
         groups.push_back(SinkGroup{{s.get()}});
     if (auditor)
         groups.push_back(SinkGroup{{auditor.get()}});
+    if (digest)
+        groups.push_back(SinkGroup{{digest->sink()}});
 
     CacheSession cache(opts, workload, cfg, res.name);
     MappedTraceFile *const hit = cache.hit.get();
@@ -443,36 +437,75 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
     }
     res.program = std::move(workload.program);
     res.replay.totalSeconds = secondsSince(start);
+    return res;
+}
 
-    if (pristine) {
-        // Determinism contract (DESIGN.md, "Out-of-band replay at
-        // scale"): a fully serial run — inline observers, serial
-        // simulation, no cache, its own trace still audited — must
-        // yield bit-identical Pics for the golden reference and every
-        // technique.
-        RunnerOptions serial = opts;
-        serial.threads = 1;
-        serial.audit = 1;
-        serial.cache.enabled = false;
-        serial.sim.threads = 1;
-        const ExperimentResult ref =
-            runWorkload(std::move(*pristine), techniques, serial, cfg);
-        std::string what = "golden";
-        std::string diff =
-            auditPicsIdentical(res.golden->pics(), ref.golden->pics());
-        for (std::size_t i = 0; diff.empty() && i < res.techniques.size();
-             ++i) {
-            what = "technique '" + res.techniques[i].config.name + "'";
-            diff = auditPicsIdentical(res.techniques[i].pics,
-                                      ref.techniques.at(i).pics);
-        }
-        if (!diff.empty())
-            tea_fatal("TEA audit: %s PICS diverges between %u replay "
-                      "thread(s) with time-parallel simulation %s and "
-                      "the serial reference: %s",
-                      what.c_str(), opts.threads,
-                      res.replay.simParallel ? "on" : "off", diff.c_str());
+} // namespace
+
+ExperimentResult
+runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
+            const RunnerOptions &opts, const CoreConfig &cfg)
+{
+    // Static init is long over: a TEA_FAILPOINTS entry still parked
+    // names no seam in this binary and must not silently test nothing.
+    failpoints::checkEnvConsumed();
+
+    if (opts.audit < 2 || (opts.threads <= 1 && !opts.sim.wantsParallel()))
+        return runOnce(std::move(workload), techniques, opts, cfg, nullptr);
+
+    // Determinism contract (DESIGN.md, "Out-of-band replay at scale"):
+    // TEA_AUDIT >= 2 re-runs a pooled or time-parallel experiment fully
+    // serially — inline observers, serial simulation, no cache, its own
+    // trace still audited — and both runs must deliver the same trace
+    // (by codec digest), the same CoreStats and bit-identical Pics for
+    // the golden reference and every technique.
+    Workload pristine = workload;
+    FingerprintSink digest;
+    ExperimentResult res =
+        runOnce(std::move(workload), techniques, opts, cfg, &digest);
+    RunnerOptions serial = opts;
+    serial.threads = 1;
+    serial.audit = 1;
+    serial.cache.enabled = false;
+    serial.sim.threads = 1;
+    FingerprintSink refDigest;
+    const ExperimentResult ref =
+        runOnce(std::move(pristine), techniques, serial, cfg, &refDigest);
+
+    const std::string mode = strprintf(
+        "%u replay thread(s) with time-parallel simulation %s",
+        opts.threads, res.replay.simParallel ? "on" : "off");
+    const std::uint64_t hash = digest.finishAndValue();
+    const std::uint64_t refHash = refDigest.finishAndValue();
+    if (hash != refHash || digest.events() != refDigest.events() ||
+        digest.chunks() != refDigest.chunks())
+        tea_fatal("TEA audit: the trace digest diverges between %s and "
+                  "the serial reference: %016llx over %llu events vs "
+                  "%016llx over %llu events",
+                  mode.c_str(), static_cast<unsigned long long>(hash),
+                  static_cast<unsigned long long>(digest.events()),
+                  static_cast<unsigned long long>(refHash),
+                  static_cast<unsigned long long>(refDigest.events()));
+    if (res.stats != ref.stats)
+        tea_fatal("TEA audit: CoreStats diverge between %s and the serial "
+                  "reference (%llu vs %llu cycles, %llu vs %llu uops)",
+                  mode.c_str(),
+                  static_cast<unsigned long long>(res.stats.cycles),
+                  static_cast<unsigned long long>(ref.stats.cycles),
+                  static_cast<unsigned long long>(res.stats.committedUops),
+                  static_cast<unsigned long long>(ref.stats.committedUops));
+    std::string what = "golden";
+    std::string diff =
+        auditPicsIdentical(res.golden->pics(), ref.golden->pics());
+    for (std::size_t i = 0; diff.empty() && i < res.techniques.size(); ++i) {
+        what = "technique '" + res.techniques[i].config.name + "'";
+        diff = auditPicsIdentical(res.techniques[i].pics,
+                                  ref.techniques.at(i).pics);
     }
+    if (!diff.empty())
+        tea_fatal("TEA audit: %s PICS diverges between %s and the serial "
+                  "reference: %s",
+                  what.c_str(), mode.c_str(), diff.c_str());
     return res;
 }
 

@@ -20,9 +20,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <future>
@@ -35,7 +32,6 @@
 
 #include "common/env.hh"
 #include "common/failpoint.hh"
-#include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
 #include "core/checkpoint.hh"
@@ -175,21 +171,6 @@ statsAccum(CoreStats &into, const CoreStats &d)
     into.moViolations += d.moViolations;
     into.drSqStallCycles += d.drSqStallCycles;
     into.samplingInterrupts += d.samplingInterrupts;
-}
-
-bool
-statsEqual(const CoreStats &a, const CoreStats &b)
-{
-    return a.cycles == b.cycles && a.committedUops == b.committedUops &&
-           a.stateCycles == b.stateCycles &&
-           a.eventCounts == b.eventCounts &&
-           a.uopsWithEvents == b.uopsWithEvents &&
-           a.uopsWithCombined == b.uopsWithCombined &&
-           a.branchMispredicts == b.branchMispredicts &&
-           a.pipelineFlushes == b.pipelineFlushes &&
-           a.moViolations == b.moViolations &&
-           a.drSqStallCycles == b.drSqStallCycles &&
-           a.samplingInterrupts == b.samplingInterrupts;
 }
 
 SimPerf
@@ -395,9 +376,6 @@ struct IntervalResult
      *  interval's warmup fingerprint must reproduce. */
     std::uint64_t endFingerprint = 0;
 
-    /** Per-structure decomposition (TEA_SIM_DEBUG only). */
-    std::vector<std::pair<const char *, std::uint64_t>> warmupParts;
-    std::vector<std::pair<const char *, std::uint64_t>> endParts;
     CoreStats warmupStats;       ///< snapshot at the warmup/main boundary
     SimPerf warmupPerf;
     CoreStats endStats;
@@ -511,8 +489,6 @@ simulateInterval(const SimPlan &sp, SimShared &sh, std::uint64_t j,
         res->warmupStats = res->run.core->stats();
         res->warmupPerf = res->run.core->perf();
         res->warmupFingerprint = res->run.core->stateFingerprint();
-        if (std::getenv("TEA_SIM_DEBUG"))
-            res->warmupParts = res->run.core->stateFingerprintParts();
 
         // Split at the boundary: events stamped past the last warmup
         // cycle open the main leg.
@@ -561,8 +537,6 @@ simulateInterval(const SimPlan &sp, SimShared &sh, std::uint64_t j,
     res->endStats = res->run.core->stats();
     res->endPerf = res->run.core->perf();
     res->endFingerprint = res->run.core->stateFingerprint();
-    if (std::getenv("TEA_SIM_DEBUG"))
-        res->endParts = res->run.core->stateFingerprintParts();
     return res;
 }
 
@@ -641,8 +615,6 @@ struct StitchState
     /** Latent-state fingerprint of the parked core at the accepted
      *  boundary — what the next worker's warmup must reproduce. */
     std::uint64_t parkedFingerprint = 0;
-    /** Its decomposition (TEA_SIM_DEBUG only). */
-    std::vector<std::pair<const char *, std::uint64_t>> parkedParts;
 };
 
 /**
@@ -739,8 +711,9 @@ decodeTailFrame(StitchState &st, const TailFrame &f)
  * long-memory state (cache LRU depths the boundary window never
  * exercises), so acceptance additionally requires the worker's state
  * fingerprint to equal the predecessor's (Core::stateFingerprint);
- * the TEA_SIM_PARALLEL=verify oracle remains the end-to-end guarantee
- * for whatever neither leg covers.
+ * the TEA_AUDIT=2 cross-check (a serial re-run compared by trace
+ * digest, stats and PICS) remains the end-to-end guarantee for
+ * whatever neither leg covers.
  *
  * @return pair of (matched suffix length in cycles, overlap length in
  *         cycles); the overlap is the window both sides cover.
@@ -825,7 +798,6 @@ finishAccepted(StitchState &st, IntervalResult &res)
     st.parallelCycles += res.endCycle - res.warmupEndCycle;
     st.halted = res.halted;
     st.parkedFingerprint = res.endFingerprint;
-    st.parkedParts = std::move(res.endParts);
     res.releaseBuffers();
     st.parked = std::move(res.run);
 }
@@ -921,8 +893,6 @@ retrySerially(const SimPlan &sp, StitchState &st, std::uint64_t j)
     perfAccum(st.perf, perfDelta(run.core->perf(), perfBefore));
     st.halted = run.core->halted();
     st.parkedFingerprint = run.core->stateFingerprint();
-    if (std::getenv("TEA_SIM_DEBUG"))
-        st.parkedParts = run.core->stateFingerprintParts();
 }
 
 /**
@@ -956,9 +926,9 @@ structurallySound(const SimPlan &sp, const IntervalResult &res)
 }
 
 /**
- * Serial reference path shared by the fallback and the oracle. Takes
- * the initial state by value so a caller's last use moves the heap
- * image into the core instead of copying it.
+ * The plain serial run every fallback takes. Takes the initial state
+ * by value so a caller's last use moves the heap image into the core
+ * instead of copying it.
  */
 void
 runSerialReference(const CoreConfig &cfg, const Program &prog,
@@ -1040,30 +1010,7 @@ stitchIntervals(const SimPlan &sp, SimShared &sh, StitchState &st)
         // state no output window can prove).
         const bool stateMatch =
             sound && res->warmupFingerprint == st.parkedFingerprint;
-        const bool converged = stateMatch && matched >= required;
-        if (std::getenv("TEA_SIM_DEBUG"))
-            std::fprintf(stderr,
-                         "tea-sim: interval %llu %s (sound=%d "
-                         "state=%d matched=%llu/%llu required=%llu "
-                         "warmupEnd=%llu end=%llu absLast=%llu)\n",
-                         static_cast<unsigned long long>(j),
-                         converged ? "accepted" : "retried", sound,
-                         stateMatch,
-                         static_cast<unsigned long long>(matched),
-                         static_cast<unsigned long long>(overlap),
-                         static_cast<unsigned long long>(required),
-                         static_cast<unsigned long long>(
-                             res->warmupEndCycle),
-                         static_cast<unsigned long long>(res->endCycle),
-                         static_cast<unsigned long long>(st.absLast));
-        if (std::getenv("TEA_SIM_DEBUG") && sound && !stateMatch &&
-            res->warmupParts.size() == st.parkedParts.size()) {
-            for (std::size_t p = 0; p < res->warmupParts.size(); ++p)
-                if (res->warmupParts[p].second != st.parkedParts[p].second)
-                    std::fprintf(stderr, "tea-sim:   state diff: %s\n",
-                                 res->warmupParts[p].first);
-        }
-        if (converged) {
+        if (stateMatch && matched >= required) {
             acceptWorker(st, *res);
         } else {
             res.reset(); // free its buffers before the retry runs
@@ -1181,38 +1128,6 @@ runTimeParallel(const CoreConfig &cfg, const Program &prog,
     return true;
 }
 
-/** Hash sink: fingerprints the stream through the canonical codec. */
-class FingerprintSink
-{
-  public:
-    FingerprintSink()
-        : sink_(4096, [this](TraceChunkPtr chunk) {
-              frame_.clear();
-              encodeChunk(*chunk, frame_);
-              hash_.addBytes(frame_.data(), frame_.size());
-              ++chunks_;
-          })
-    {
-    }
-
-    ChunkingSink *sink() { return &sink_; }
-
-    std::uint64_t finishAndValue()
-    {
-        sink_.finish();
-        return hash_.value();
-    }
-
-    std::uint64_t events() const { return sink_.eventsCaptured(); }
-    std::uint64_t chunks() const { return chunks_; }
-
-  private:
-    ChunkingSink sink_;
-    std::vector<std::uint8_t> frame_;
-    Fnv1a hash_;
-    std::uint64_t chunks_ = 0;
-};
-
 } // namespace
 
 TimeParallelOptions
@@ -1220,15 +1135,6 @@ TimeParallelOptions::fromEnv()
 {
     TimeParallelOptions o;
     o.threads = envUnsigned("TEA_SIM_THREADS", o.threads);
-    o.warmupUops = envUnsigned("TEA_SIM_WARMUP", o.warmupUops);
-    if (const char *mode = std::getenv("TEA_SIM_PARALLEL"); mode && *mode) {
-        if (std::strcmp(mode, "verify") != 0)
-            tea_fatal("TEA_SIM_PARALLEL accepts only 'verify', got '%s' "
-                      "(TEA_SIM_THREADS=N turns time-parallel simulation "
-                      "on, 1 keeps it off)",
-                      mode);
-        o.verify = true;
-    }
     return o;
 }
 
@@ -1240,63 +1146,16 @@ simulateTimeParallel(const CoreConfig &cfg, const Program &prog,
                      CoreStats *stats_out, SimPerf *perf_out)
 {
     TimeParallelStats tp;
-    unsigned threads = opts.threads;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-
+    const unsigned threads = threadsOrHardware(opts.threads);
     // Sampling interrupts fire on absolute cycles; a restarted interval
     // cannot know its absolute phase, so such configs stay serial.
     const bool viable = opts.wantsParallel() && threads > 1 &&
                         cfg.samplingInterruptPeriod == 0;
-    if (!viable) {
+    if (!viable ||
+        !runTimeParallel(cfg, prog, initial, opts, threads, sinks,
+                         stats_out, perf_out, &tp))
         runSerialReference(cfg, prog, std::move(initial), sinks, stats_out,
                            perf_out);
-        return tp;
-    }
-
-    if (!opts.verify) {
-        if (!runTimeParallel(cfg, prog, initial, opts, threads, sinks,
-                             stats_out, perf_out, &tp))
-            runSerialReference(cfg, prog, std::move(initial), sinks,
-                               stats_out, perf_out);
-        return tp;
-    }
-
-    // Differential oracle: tee the stitched stream through the codec
-    // fingerprint, then run the serial reference and compare.
-    FingerprintSink fpPar;
-    std::vector<TraceSink *> teed = sinks;
-    teed.push_back(fpPar.sink());
-    if (!runTimeParallel(cfg, prog, initial, opts, threads, teed, stats_out,
-                         perf_out, &tp)) {
-        runSerialReference(cfg, prog, std::move(initial), sinks, stats_out,
-                           perf_out);
-        return tp;
-    }
-    const std::uint64_t parHash = fpPar.finishAndValue();
-
-    FingerprintSink fpSer;
-    CoreStats serStats;
-    SimPerf serPerf;
-    std::vector<TraceSink *> serSinks{fpSer.sink()};
-    runSerialReference(cfg, prog, std::move(initial), serSinks, &serStats,
-                       &serPerf);
-    const std::uint64_t serHash = fpSer.finishAndValue();
-
-    if (parHash != serHash || fpPar.events() != fpSer.events() ||
-        fpPar.chunks() != fpSer.chunks() ||
-        !statsEqual(*stats_out, serStats))
-        tea_fatal("TEA_SIM_PARALLEL=verify: stitched stream diverges from "
-                  "serial reference (events %llu vs %llu, hash %016llx vs "
-                  "%016llx, stats %s)",
-                  static_cast<unsigned long long>(fpPar.events()),
-                  static_cast<unsigned long long>(fpSer.events()),
-                  static_cast<unsigned long long>(parHash),
-                  static_cast<unsigned long long>(serHash),
-                  statsEqual(*stats_out, serStats) ? "equal" : "DIFFER");
     return tp;
 }
 

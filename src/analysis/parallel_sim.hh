@@ -6,7 +6,7 @@
  * A functional pre-pass (core/checkpoint) records the architectural
  * state at every interval boundary minus a warmup margin. N workers
  * then simulate the intervals concurrently: each starts a fresh Core
- * from its checkpoint, runs a warmup leg of TEA_SIM_WARMUP committed
+ * from its checkpoint, runs a warmup leg of warmupUops committed
  * micro-ops so the cold microarchitectural state (caches, TLBs,
  * predictor, LSQ history) converges onto the serial machine's, and
  * then simulates its interval proper. A stitcher consumes the interval
@@ -27,10 +27,10 @@
  * back to exact serial continuation: the previous interval's core is
  * parked alive at the boundary, so re-running the failed interval on
  * it reproduces the serial stream by construction (worst case the
- * whole run degrades to serial, never to wrong). TEA_SIM_PARALLEL=
- * verify additionally runs the serial reference and fatals on any
- * divergence of the stitched stream or stats — the differential
- * oracle used by the simpar test suite.
+ * whole run degrades to serial, never to wrong). The differential
+ * oracle is the runner's TEA_AUDIT=2 cross-check, which re-runs the
+ * experiment serially and fatals unless the trace digest, the
+ * CoreStats and every PICS are identical (analysis/audit).
  */
 
 #ifndef TEA_ANALYSIS_PARALLEL_SIM_HH
@@ -45,7 +45,7 @@
 
 namespace tea {
 
-/** Knobs of one time-parallel simulation (all env-overridable). */
+/** Knobs of one time-parallel simulation. */
 struct TimeParallelOptions
 {
     /**
@@ -58,18 +58,10 @@ struct TimeParallelOptions
      */
     unsigned threads = 1;
 
-    /** Warmup prefix per interval in micro-ops (TEA_SIM_WARMUP). */
+    /** Warmup prefix per interval in micro-ops. */
     std::uint64_t warmupUops = 16384;
 
-    /**
-     * Differential oracle (TEA_SIM_PARALLEL=verify): after a
-     * time-parallel run, re-run serially and fatal on any divergence
-     * of the stitched stream or stats.
-     */
-    bool verify = false;
-
-    /** Read TEA_SIM_THREADS / TEA_SIM_WARMUP / TEA_SIM_PARALLEL over
-     *  the defaults above. */
+    /** Read TEA_SIM_THREADS over the defaults above. */
     static TimeParallelOptions fromEnv();
 
     /** True when these options ask for time-parallel simulation. */

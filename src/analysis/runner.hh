@@ -57,8 +57,11 @@ struct RunnerOptions
      * the offending cycle/sequence, on the first broken trace
      * invariant) and verifies golden cycle conservation; 2 additionally
      * re-runs every experiment that used the replay pool or
-     * time-parallel simulation fully serially and fails unless every
-     * Pics is bit-identical across the two runs.
+     * time-parallel simulation fully serially (inline, no cache) and
+     * fails unless the two runs agree on the trace digest with its
+     * event and chunk counts (FingerprintSink), on every CoreStats
+     * counter, and on every Pics bit for bit. This is the one
+     * differential oracle of every parallel mode.
      */
     unsigned audit = 0;
 
@@ -102,10 +105,10 @@ struct RunnerOptions
      * see audit above), TEA_CACHE_LOCK_TIMEOUT_MS, the trace-cache
      * controls TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see
      * TraceCacheOptions), the janitor budgets TEA_TRACE_CACHE_MAX_BYTES
-     * etc. (see JanitorConfig::fromEnv) and the time-parallel knobs
-     * TEA_SIM_THREADS / TEA_SIM_WARMUP / TEA_SIM_PARALLEL (see
-     * TimeParallelOptions::fromEnv). chunkEvents and queueChunks keep
-     * their defaults. README.md tabulates every knob.
+     * etc. (see JanitorConfig::fromEnv) and TEA_SIM_THREADS (see
+     * TimeParallelOptions::fromEnv). chunkEvents, queueChunks and
+     * sim.warmupUops keep their defaults. README.md tabulates every
+     * knob.
      */
     static RunnerOptions fromEnv();
 };

@@ -1,6 +1,7 @@
 /**
  * @file
- * Strict parsing of the numeric TEA_* environment knobs.
+ * Strict parsing of the numeric TEA_* environment knobs (and of the
+ * numeric command-line flags, through the same digit parser).
  *
  * Every numeric knob goes through envUnsigned, so a value that does not
  * fit its field is an error rather than a surprise (strtoull would read
@@ -18,9 +19,16 @@
 namespace tea {
 
 /**
+ * Parse @p text as a plain decimal integer of at most @p max. Anything
+ * else (empty, a sign, a blank, a suffix, a larger value) is fatal,
+ * naming @p what: the variable or flag the text came from.
+ */
+std::uint64_t parseUnsignedIn(const char *what, const char *text,
+                              std::uint64_t max);
+
+/**
  * The value of environment variable @p name, or @p dflt when it is
- * unset or empty. Anything but plain decimal digits (a sign, a blank,
- * a suffix) or a value above @p max is fatal, naming the variable.
+ * unset or empty; otherwise parsed by parseUnsignedIn.
  */
 std::uint64_t envUnsignedIn(const char *name, std::uint64_t dflt,
                             std::uint64_t max);
@@ -34,6 +42,10 @@ envUnsigned(const char *name, T dflt)
     return static_cast<T>(
         envUnsignedIn(name, dflt, std::numeric_limits<T>::max()));
 }
+
+/** @p n, or one per hardware thread (at least 1) when @p n is 0: what a
+ *  thread count of 0 means for TEA_THREADS and TEA_SIM_THREADS. */
+unsigned threadsOrHardware(unsigned n);
 
 } // namespace tea
 

@@ -164,16 +164,6 @@ Core::stateFingerprint() const
     return h.value();
 }
 
-std::vector<std::pair<const char *, std::uint64_t>>
-Core::stateFingerprintParts() const
-{
-    auto parts = mem_.fingerprintParts(cycle_);
-    Fnv1a h;
-    hashStoreSets(h);
-    parts.emplace_back("store-sets", h.value());
-    return parts;
-}
-
 void
 Core::hashStoreSets(Fnv1a &h) const
 {

@@ -79,6 +79,9 @@ struct CoreStats
 
     /** Render all counters as a gem5-style stats listing. */
     std::string render() const;
+
+    /** Every counter equal (the TEA_AUDIT=2 cross-check compares runs). */
+    bool operator==(const CoreStats &) const = default;
 };
 
 /**
@@ -212,10 +215,6 @@ class Core
      * convergence acceptance (analysis/parallel_sim).
      */
     std::uint64_t stateFingerprint() const;
-
-    /** Diagnostic decomposition of stateFingerprint() by structure. */
-    std::vector<std::pair<const char *, std::uint64_t>>
-    stateFingerprintParts() const;
 
     const CoreStats &stats() const { return stats_; }
     const SimPerf &perf() const { return perf_; }

@@ -190,27 +190,6 @@ MemorySystem::resetTransientTiming()
     uncore_->resetTransientTiming();
 }
 
-std::vector<std::pair<const char *, std::uint64_t>>
-MemorySystem::fingerprintParts(Cycle base) const
-{
-    std::vector<std::pair<const char *, std::uint64_t>> out;
-    const auto part = [&out](const char *name, auto &&fill) {
-        Fnv1a h;
-        fill(h);
-        out.emplace_back(name, h.value());
-    };
-    part("l1i", [this](Fnv1a &h) { l1i_.fingerprintState(h); });
-    part("l1d", [this](Fnv1a &h) { l1d_.fingerprintState(h); });
-    part("l1i-mshrs",
-         [this, base](Fnv1a &h) { l1iMshrs_.fingerprintState(h, base); });
-    part("l1d-mshrs",
-         [this, base](Fnv1a &h) { l1dMshrs_.fingerprintState(h, base); });
-    part("dtlb", [this](Fnv1a &h) { dtlb_.l1().fingerprintState(h); });
-    part("itlb", [this](Fnv1a &h) { itlb_.l1().fingerprintState(h); });
-    uncore_->fingerprintParts(base, out);
-    return out;
-}
-
 void
 MemorySystem::fingerprintState(Fnv1a &h, Cycle base) const
 {

@@ -147,14 +147,6 @@ class MemorySystem
      */
     void fingerprintState(Fnv1a &h, Cycle base) const;
 
-    /**
-     * Per-structure fingerprints with stable names — the diagnostic
-     * decomposition of fingerprintState, so a convergence failure can
-     * be attributed to the structure that diverged.
-     */
-    std::vector<std::pair<const char *, std::uint64_t>>
-    fingerprintParts(Cycle base) const;
-
     // Inspection for tests and reports.
     const CacheArray &l1i() const { return l1i_; }
     const CacheArray &l1d() const { return l1d_; }

@@ -70,25 +70,6 @@ Uncore::llcAccess(Addr line, Cycle start, bool &llc_miss)
 }
 
 void
-Uncore::fingerprintParts(
-    Cycle base,
-    std::vector<std::pair<const char *, std::uint64_t>> &out) const
-{
-    const auto part = [&out](const char *name, auto &&fill) {
-        Fnv1a h;
-        fill(h);
-        out.emplace_back(name, h.value());
-    };
-    part("llc", [this](Fnv1a &h) { llc_.fingerprintState(h); });
-    part("llc-mshrs",
-         [this, base](Fnv1a &h) { llcMshrs_.fingerprintState(h, base); });
-    part("l2tlb", [this](Fnv1a &h) { l2Tlb_.fingerprintState(h); });
-    part("dram", [this, base](Fnv1a &h) {
-        h.add(dramNextFree_ > base ? dramNextFree_ - base : 0);
-    });
-}
-
-void
 Uncore::fingerprintState(Fnv1a &h, Cycle base) const
 {
     llc_.fingerprintState(h);

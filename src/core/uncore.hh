@@ -62,11 +62,6 @@ class Uncore
      */
     void fingerprintState(Fnv1a &h, Cycle base) const;
 
-    /** Append per-structure fingerprints (diagnostic decomposition). */
-    void fingerprintParts(
-        Cycle base,
-        std::vector<std::pair<const char *, std::uint64_t>> &out) const;
-
   private:
     const CoreConfig &cfg_;
     CacheArray llc_;

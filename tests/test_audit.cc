@@ -310,13 +310,103 @@ TEST(Audit, AuditedRunnerPassesParallel)
 
 TEST(Audit, CrossThreadDeterminismCheckPasses)
 {
-    // Level 2 re-runs the experiment serially and fatals unless every
-    // Pics is bit-identical across the two thread counts; returning at
-    // all means the determinism contract held.
+    // Level 2 re-runs the experiment serially and fatals unless the
+    // trace digest, the CoreStats and every Pics are identical across
+    // the two thread counts; returning at all means the determinism
+    // contract held.
     RunnerOptions opts;
     opts.threads = 2;
     opts.audit = 2;
     ExperimentResult res = runWorkload(workloads::xz(),
                                        standardTechniques(), opts);
     EXPECT_GT(res.stats.cycles, 0u);
+}
+
+namespace {
+
+/**
+ * A hand-built stream: one uop fetched, dispatched and committed, a
+ * Stalled cycle and a Drained one. With @p stale set, the bytes behind
+ * every cleared validity flag hold garbage, as a core's reused working
+ * buffer may: the Drained cycle's headSeq and the Compute cycle's
+ * unused commit slots.
+ */
+std::vector<TraceEvent>
+digestStream(bool stale)
+{
+    std::vector<TraceEvent> evs(6);
+    evs[0].kind = TraceEventKind::Fetch;
+    evs[0].p.uop = UopRecord{0, 1, 0};
+    evs[1].kind = TraceEventKind::Dispatch;
+    evs[1].p.uop = UopRecord{0, 1, 1};
+    evs[2].kind = TraceEventKind::Retire;
+    evs[2].p.retire = RetireRecord{0, 1, Psv{}, 2};
+    evs[3].kind = TraceEventKind::Cycle;
+    CycleRecord &commit = evs[3].p.cycle;
+    commit = CycleRecord{};
+    commit.cycle = 2;
+    commit.state = CommitState::Compute;
+    commit.numCommitted = 1;
+    commit.committed[0] = CommittedUop{0, 1, Psv{}};
+    commit.lastValid = true;
+    commit.lastPc = 1;
+    evs[4].kind = TraceEventKind::Cycle;
+    CycleRecord &stall = evs[4].p.cycle;
+    stall = idleCycle(3, CommitState::Stalled);
+    stall.headValid = true;
+    stall.headSeq = 1;
+    stall.headPc = 2;
+    stall.lastValid = true;
+    stall.lastPc = 1;
+    evs[5].kind = TraceEventKind::Cycle;
+    CycleRecord &drain = evs[5].p.cycle;
+    drain = idleCycle(4, CommitState::Drained);
+    drain.lastValid = true;
+    drain.lastPc = 1;
+    if (stale) {
+        drain.headSeq = 77;
+        for (unsigned k = 1; k < commit.committed.size(); ++k)
+            commit.committed[k] = CommittedUop{90 + k, 9, Psv{}};
+    }
+    return evs;
+}
+
+struct Digest
+{
+    std::uint64_t value, events, chunks;
+    bool operator==(const Digest &) const = default;
+};
+
+/** Digest of @p evs delivered in batches of @p batch, then the end. */
+Digest
+digestOf(const std::vector<TraceEvent> &evs, std::size_t batch)
+{
+    FingerprintSink fp;
+    for (std::size_t i = 0; i < evs.size(); i += batch)
+        fp.sink()->onBatch(evs.data() + i, std::min(batch, evs.size() - i));
+    fp.sink()->onEnd(5);
+    const std::uint64_t value = fp.finishAndValue();
+    return Digest{value, fp.events(), fp.chunks()};
+}
+
+} // namespace
+
+TEST(TraceDigest, StaleInvalidSlotsHashEqual)
+{
+    const Digest clean = digestOf(digestStream(false), 6);
+    EXPECT_EQ(clean.events, 7u);
+    EXPECT_EQ(clean.chunks, 1u);
+    EXPECT_EQ(digestOf(digestStream(true), 6), clean);
+    // How the stream was batched is not part of it either.
+    EXPECT_EQ(digestOf(digestStream(false), 1), clean);
+}
+
+TEST(TraceDigest, OneFetchCycleChangesTheHash)
+{
+    std::vector<TraceEvent> evs = digestStream(false);
+    const Digest clean = digestOf(evs, 6);
+    evs[0].p.uop.cycle += 1;
+    const Digest moved = digestOf(evs, 6);
+    EXPECT_NE(moved.value, clean.value);
+    EXPECT_EQ(moved.events, clean.events);
 }

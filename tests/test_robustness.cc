@@ -182,26 +182,15 @@ TEST(EnvKnobsDeath, RunnerOptionsRejectSignAndGarbage)
 
 TEST(EnvKnobsDeath, TimeParallelOptionsRejectSignAndGarbage)
 {
-    for (const char *bad : kBadNumbers) {
+    for (const char *bad : kBadNumbers)
         expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
                        "TEA_SIM_THREADS", bad);
-        expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
-                       "TEA_SIM_WARMUP", bad);
-    }
     expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
                    "TEA_SIM_THREADS", "4294967296");
-    expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
-                   "TEA_SIM_WARMUP", "18446744073709551616");
-    // threads = 1 is the off switch; the mode knob only arms the oracle.
-    for (const char *mode : {"off", "on", "0", "1"}) {
-        SCOPED_TRACE(mode);
-        EXPECT_EXIT(
-            {
-                ::setenv("TEA_SIM_PARALLEL", mode, 1);
-                TimeParallelOptions::fromEnv();
-            },
-            ::testing::ExitedWithCode(1), "TEA_SIM_THREADS");
-    }
+    // A count, not a switch: 1 is serial, and words are fatal.
+    for (const char *mode : {"off", "on"})
+        expectEnvFatal([] { TimeParallelOptions::fromEnv(); },
+                       "TEA_SIM_THREADS", mode);
 }
 
 TEST(EnvKnobsDeath, JanitorConfigRejectsSignAndGarbage)
@@ -238,17 +227,15 @@ TEST(EnvKnobs, AcceptPlainDecimalUpToFieldRange)
 {
     ::setenv("TEA_CACHE_LOCK_TIMEOUT_MS", "4294967295", 1);
     ::setenv("TEA_TRACE_CACHE_MAX_BYTES", "18446744073709551615", 1);
-    ::setenv("TEA_SIM_WARMUP", "007", 1);
-    ::setenv("TEA_SIM_PARALLEL", "verify", 1);
+    ::setenv("TEA_SIM_THREADS", "007", 1);
     ::setenv("TEA_AUDIT", "", 1); // empty = unset
     const RunnerOptions opts = RunnerOptions::fromEnv();
     for (const char *name :
          {"TEA_CACHE_LOCK_TIMEOUT_MS", "TEA_TRACE_CACHE_MAX_BYTES",
-          "TEA_SIM_WARMUP", "TEA_SIM_PARALLEL", "TEA_AUDIT"})
+          "TEA_SIM_THREADS", "TEA_AUDIT"})
         ::unsetenv(name);
     EXPECT_EQ(opts.cacheLockTimeoutMs, 4294967295u);
     EXPECT_EQ(opts.janitor.maxBytes, 18446744073709551615ull);
-    EXPECT_EQ(opts.sim.warmupUops, 7u);
-    EXPECT_TRUE(opts.sim.verify);
+    EXPECT_EQ(opts.sim.threads, 7u);
     EXPECT_EQ(opts.audit, 0u);
 }

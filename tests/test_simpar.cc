@@ -5,8 +5,9 @@
  * and thread counts with the accept/retry decisions pinned, the
  * checkpoint restore-resume property under randomized interval
  * geometry, forced-fallback behavior when the warmup is too small to
- * converge, the TEA_SIM_PARALLEL=verify differential oracle, and the
- * failure paths of the worker/stitcher hand-off.
+ * converge, the TEA_AUDIT=2 differential oracle over time-parallel
+ * runs (inline and pooled), and the failure paths of the
+ * worker/stitcher hand-off.
  *
  * Memory is part of the contract: the serial reference is kept as
  * codec frames and compared in lockstep, never flattened, and every
@@ -415,28 +416,10 @@ class VerifyMode : public BoundedRss
 };
 
 /**
- * The differential oracle (TEA_SIM_PARALLEL=verify) re-runs serially
- * inside simulateTimeParallel and fatals on any divergence — surviving
- * the call is the assertion.
- */
-TEST_F(VerifyMode, OraclePasses)
-{
-    TimeParallelOptions opts = parallelOptions(3);
-    opts.verify = true;
-    CountingSink count;
-    SimPerf perf;
-    const TimeParallelStats tp =
-        parallelRun("exchange2", opts, {&count}, nullptr, &perf);
-    EXPECT_TRUE(tp.usedParallel);
-    EXPECT_GT(count.events, 0u);
-    EXPECT_EQ(count.events, perf.traceEvents);
-}
-
-/**
  * TEA_AUDIT=2 cross-checks a time-parallel simulation against a fully
  * serial run even when the observers run inline (threads = 1). The
- * check fatals on any Pics difference, so surviving the call is the
- * assertion.
+ * check fatals unless the trace digest, the CoreStats and every Pics
+ * agree, so surviving the call is the assertion.
  */
 TEST_F(VerifyMode, AuditCrossChecksInlineTimeParallelRun)
 {
@@ -448,6 +431,21 @@ TEST_F(VerifyMode, AuditCrossChecksInlineTimeParallelRun)
                                              standardTechniques(), o);
     EXPECT_FALSE(res.failed());
     EXPECT_TRUE(res.replay.simParallel);
+}
+
+/** The same cross-check with the observers on the replay pool. */
+TEST_F(VerifyMode, AuditCrossChecksPooledTimeParallelRun)
+{
+    RunnerOptions o;
+    o.threads = 3;
+    o.audit = 2;
+    o.sim = parallelOptions(3);
+    const ExperimentResult res = runWorkload(workloads::byName("exchange2"),
+                                             standardTechniques(), o);
+    EXPECT_FALSE(res.failed());
+    EXPECT_TRUE(res.replay.simParallel);
+    EXPECT_EQ(res.replay.threads, 3u);
+    EXPECT_GT(res.replay.eventsCaptured, 0u);
 }
 
 /** Failure paths of the worker/stitcher hand-off. */

@@ -375,15 +375,18 @@ class Linter:
         r"(\w+(?:\s*\[[^\]]*\])?)\s*(?:\.|->)\s*"
         r"(push_back|emplace_back)\s*\(")
 
+    HOT_ANNOTATION_RE = re.compile(r"^\s*//\s*tea_lint:\s*hot\s*$")
+
     def hot_scopes(self, stripped: str, raw_lines: list[str]):
         """Yield (start_line, end_line) 1-based inclusive spans of the
         function bodies annotated `// tea_lint: hot` (the annotation
-        sits on the line above the function's return type)."""
+        sits alone on the line above the function's return type; prose
+        that merely mentions it opens no scope)."""
         offsets = [0]
         for line in stripped.splitlines():
             offsets.append(offsets[-1] + len(line) + 1)
         for idx, raw in enumerate(raw_lines):
-            if "tea_lint: hot" not in raw or "allow(" in raw:
+            if not self.HOT_ANNOTATION_RE.match(raw):
                 continue
             pos = offsets[idx + 1] if idx + 1 < len(offsets) else None
             if pos is None:

@@ -14,7 +14,8 @@
  *             [--preset NAME]...         replace the preset list
  *             [--axis PARAM=V1,V2,...]...  replace/add an axis
  *             [--base PARAM=VALUE]...    set a base KernelSpec parameter
- *             [--threads N]              override TEA_THREADS
+ *             [--threads N]              override TEA_THREADS (0: one per
+ *                                        hardware thread)
  *             [--report FILE]            also write the report to FILE
  *             [--list]                   print the expansion, don't run
  *
@@ -23,13 +24,13 @@
  * targets. Presets: see `--help` output (presets::names).
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/sweep.hh"
+#include "common/env.hh"
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 
@@ -125,8 +126,9 @@ main(int argc, char **argv)
             auto [param, value] = splitEq(next(i, "--base"), "--base");
             applyKernelParam(spec.base, param, value);
         } else if (arg == "--threads") {
-            opts.threads = static_cast<unsigned>(
-                std::strtoul(next(i, "--threads").c_str(), nullptr, 10));
+            opts.threads = threadsOrHardware(static_cast<unsigned>(
+                parseUnsignedIn("sweep_cli --threads",
+                                next(i, "--threads").c_str(), UINT_MAX)));
         } else if (arg == "--report") {
             reportPath = next(i, "--report");
         } else if (arg == "--list") {
@@ -159,10 +161,9 @@ main(int argc, char **argv)
     std::fputs(report.c_str(), stdout);
 
     if (!reportPath.empty()) {
-        if (std::FILE *f = std::fopen(reportPath.c_str(), "w")) {
-            std::fputs(report.c_str(), f);
-            std::fclose(f);
-        } else {
+        std::FILE *f = std::fopen(reportPath.c_str(), "w");
+        const bool written = f && std::fputs(report.c_str(), f) >= 0;
+        if (!f || std::fclose(f) != 0 || !written) {
             std::fprintf(stderr, "sweep_cli: cannot write %s\n",
                          reportPath.c_str());
             return 1;
